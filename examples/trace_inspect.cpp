@@ -6,7 +6,9 @@
 // Usage:
 //   trace_inspect                         # self-contained demo (tmp file)
 //   trace_inspect --in=foo.spft           # inspect an existing trace
+//                                         # (exit 2 if it is malformed)
 //   trace_inspect --workload=mcf --out=mcf.spft   # generate + keep a trace
+#include <exception>
 #include <filesystem>
 #include <iostream>
 
@@ -30,7 +32,13 @@ int main(int argc, char** argv) {
   if (flags.has("in")) {
     path = flags.get("in", "");
     std::cout << "loading " << path << "\n";
-    trace = read_trace(path);
+    try {
+      trace = read_trace(path);
+    } catch (const std::exception& e) {
+      // A malformed or hostile trace file is a usage error, not a crash.
+      std::cerr << "trace_inspect: " << e.what() << "\n";
+      return 2;
+    }
   } else {
     const std::string workload = flags.get("workload", "em3d");
     if (workload == "mcf") {

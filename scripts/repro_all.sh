@@ -12,8 +12,8 @@ cd "$(dirname "$0")/.."
 
 THREADS="${SPF_THREADS:-$(nproc)}"
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build -S .
+cmake --build build --parallel "$THREADS"
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 

@@ -10,10 +10,12 @@ Cache::Cache(const CacheGeometry& geometry, ReplacementKind policy,
              std::uint64_t seed, Arena* arena)
     : geometry_(geometry),
       policy_(policy, geometry.num_sets(), geometry.ways(), seed),
-      lines_(geometry.num_sets() * geometry.ways(),
-             ArenaAllocator<CacheLine>(arena)),
       tags_(geometry.num_sets() * geometry.ways(), 0,
             ArenaAllocator<LineAddr>(arena)),
+      ptags_(geometry.num_sets() * geometry.ways() + simd::kMatchU16Pad, 0,
+             ArenaAllocator<std::uint16_t>(arena)),
+      meta_(geometry.num_sets() * geometry.ways(), 0,
+            ArenaAllocator<std::uint8_t>(arena)),
       valid_(geometry.num_sets(), 0, ArenaAllocator<std::uint64_t>(arena)) {
   SPF_ASSERT(geometry.ways() <= 64, "validity bitmask holds at most 64 ways");
 }
@@ -24,10 +26,12 @@ void Cache::reset_to(const CacheGeometry& geometry, ReplacementKind policy,
   const std::size_t total = geometry.num_sets() * geometry.ways();
   geometry_ = geometry;
   policy_.reset_to(policy, geometry.num_sets(), geometry.ways(), seed);
-  // assign() reuses capacity; a same-shape reset touches no allocator at all
-  // (arena or heap), which is what makes pooled ExperimentContext reuse pay.
-  lines_.assign(total, CacheLine{});
-  tags_.assign(total, 0);
+  // Slots are dead unless their valid bit is set, so only the masks are
+  // cleared; the per-slot arrays just take the new shape (resize() reuses
+  // capacity and allocates nothing for a same-shape reset).
+  tags_.resize(total);
+  ptags_.resize(total + simd::kMatchU16Pad);
+  meta_.resize(total);
   valid_.assign(geometry.num_sets(), 0);
   stats_ = CacheStats{};
 }
@@ -47,9 +51,7 @@ std::optional<Eviction> Cache::fill(LineAddr line, FillOrigin origin, CoreId cor
     // A demand fill upgrades a prefetch-origin line: the processor now
     // genuinely wants it. A prefetch completing onto a demand-filled line
     // must not *downgrade* provenance.
-    if (origin == FillOrigin::kDemand) {
-      lines_[base + present].used_since_fill = true;
-    }
+    if (origin == FillOrigin::kDemand) meta_[base + present] |= kUsed;
     return std::nullopt;
   }
 
@@ -60,7 +62,7 @@ bool Cache::mark_dirty(LineAddr line) {
   const std::uint64_t set = geometry_.set_of_line(line);
   const std::uint32_t way = find_way(set, line);
   if (way == kNoWay) return false;
-  lines_[set * geometry_.ways() + way].dirty = true;
+  meta_[set * geometry_.ways() + way] |= kDirty;
   return true;
 }
 
@@ -68,9 +70,6 @@ bool Cache::invalidate(LineAddr line) {
   const std::uint64_t set = geometry_.set_of_line(line);
   const std::uint32_t way = find_way(set, line);
   if (way == kNoWay) return false;
-  const std::size_t idx = set * geometry_.ways() + way;
-  lines_[idx] = CacheLine{};
-  tags_[idx] = 0;
   valid_[set] &= ~(std::uint64_t{1} << way);
   return true;
 }

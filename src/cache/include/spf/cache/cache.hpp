@@ -9,21 +9,30 @@
 // touched it since the fill — exactly the metadata the paper's three cache
 // pollution cases are defined over.
 //
-// Hot-path layout: lookups scan a flat structure-of-arrays view — one packed
-// tag array plus a per-set validity bitmask — so `find` touches only the
-// bytes it compares, not whole 40-byte CacheLine records. The CacheLine
-// array is kept alongside (same row-major (set, way) order, `valid` kept in
-// sync with the bitmask) for metadata reads, `probe` pointer stability, and
-// `for_each_line` iteration order.
+// Hot-path layout: per-(set, way) state is a structure of arrays in
+// row-major (set, way) order, sized so a lookup touches as few bytes as
+// possible:
+//   - `ptags_`: the low 16 bits of each line's tag (`tag_of_line`), packed —
+//     a 16-way set's row is 32 bytes;
+//   - `tags_`: the full line address, read only to confirm a partial-tag
+//     candidate and to rebuild a CacheLine;
+//   - `meta_`: one byte per slot — dirty, used-since-fill and the 2-bit
+//     FillOrigin;
+//   - `valid_`: one validity bitmask per set (ways <= 64).
+// `valid_` is the only source of truth for which slots are live: no tag,
+// partial tag or metadata byte is read unless its valid bit is set. That
+// invariant is what lets `invalidate` clear one bit and `reset_to` clear
+// only the masks (plus the replacement state), leaving dead slots stale.
 //
-// Tag match is vectorized where the ISA allows: the packed per-set tag row is
-// compared 2 (SSE2) or 4 (AVX2) ways per instruction into a match bitmask,
-// ANDed with the set's validity bitmask, and resolved with countr_zero — the
-// same lowest-way-wins order as the scalar scan, so artifacts stay
-// byte-identical. `SPF_NO_SIMD` disables the vector path at compile time;
-// setting the `SPF_FORCE_SCALAR_TAGS` environment variable (any value)
-// disables it at run time so CI can exercise the scalar fallback on SIMD
-// hardware.
+// Tag match is vectorized where the ISA allows: the set's partial-tag row is
+// compared 8 ways per SSE2 instruction into a match bitmask, ANDed with the
+// validity bitmask, and each candidate (lowest way first) is confirmed
+// against the full tag — lines that share their low 16 tag bits are
+// rejected there. The first confirmed way wins, the same lowest-way-wins
+// order as the scalar scan, so artifacts stay byte-identical. `SPF_NO_SIMD`
+// disables the vector path at compile time; setting the
+// `SPF_FORCE_SCALAR_TAGS` environment variable (any value) disables it at
+// run time so CI can exercise the scalar full-tag scan on SIMD hardware.
 #pragma once
 
 #include <bit>
@@ -61,7 +70,8 @@ inline std::uint32_t find_way_scalar(const LineAddr* tags,
 
 }  // namespace cache_detail
 
-/// Metadata carried by each valid cache line.
+/// A valid cache line as callers see it: rebuilt on demand from the packed
+/// tag and metadata arrays.
 struct CacheLine {
   LineAddr line = 0;
   bool valid = false;
@@ -70,10 +80,6 @@ struct CacheLine {
   FillOrigin origin = FillOrigin::kDemand;
   /// True once a demand (non-prefetch) access hits the line after its fill.
   bool used_since_fill = false;
-  /// Core whose request filled the line.
-  CoreId filler_core = 0;
-  /// Simulated time of the fill.
-  Cycle fill_time = 0;
 };
 
 /// A line pushed out by a fill, annotated with its end-of-life metadata.
@@ -110,10 +116,10 @@ struct CacheStats {
 class Cache {
  public:
   /// Sentinel for "no (set, way) slot" in the slot-reporting interfaces
-  /// below. Slots index the row-major lines_ array: set * ways + way.
+  /// below. Slots index the row-major per-slot arrays: set * ways + way.
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  /// `arena`, when non-null, backs the line/tag/validity arrays; it must
+  /// `arena`, when non-null, backs the tag/metadata/validity arrays; it must
   /// outlive the cache (and every cache moved from it). Null keeps the
   /// global heap.
   Cache(const CacheGeometry& geometry, ReplacementKind policy,
@@ -129,9 +135,10 @@ class Cache {
 
   /// Reinitialize in place to a cold cache of the given shape, as if freshly
   /// constructed — but reusing existing storage capacity where the new shape
-  /// fits (same-geometry resets allocate nothing). This is the seam
-  /// ExperimentContext uses to replay many configurations without per-run
-  /// construction.
+  /// fits (same-geometry resets allocate nothing). Only the validity masks
+  /// and the replacement state are rewritten; see the layout note above.
+  /// This is the seam ExperimentContext uses to replay many configurations
+  /// without per-run construction.
   void reset_to(const CacheGeometry& geometry, ReplacementKind policy,
                 std::uint64_t seed = 0x5eed);
 
@@ -142,10 +149,11 @@ class Cache {
 
   /// Side-effect-free lookup: returns the line if present, without touching
   /// replacement state or counters.
-  [[nodiscard]] const CacheLine* probe(LineAddr line) const noexcept {
+  [[nodiscard]] std::optional<CacheLine> probe(LineAddr line) const noexcept {
     const std::uint64_t set = geometry_.set_of_line(line);
     const std::uint32_t way = find_way(set, line);
-    return way == kNoWay ? nullptr : &lines_[set * geometry_.ways() + way];
+    if (way == kNoWay) return std::nullopt;
+    return line_at(set * geometry_.ways() + way);
   }
 
   /// Reference the line. On a hit: updates replacement state, marks the line
@@ -175,14 +183,14 @@ class Cache {
     ++stats_.hits;
     policy_.on_hit(set, way);
     const std::size_t slot = set * geometry_.ways() + way;
-    CacheLine& hit = lines_[slot];
+    std::uint8_t& meta = meta_[slot];
     if (kind != AccessKind::kPrefetch) {
-      if (!hit.used_since_fill && hit.origin != FillOrigin::kDemand) {
+      if ((meta & kUsed) == 0 && origin_of(meta) != FillOrigin::kDemand) {
         first_use_slot = static_cast<std::uint32_t>(slot);
       }
-      hit.used_since_fill = true;
+      meta |= kUsed;
     }
-    if (kind == AccessKind::kWrite) hit.dirty = true;
+    if (kind == AccessKind::kWrite) meta |= kDirty;
     return true;
   }
 
@@ -191,7 +199,8 @@ class Cache {
   /// metadata (this happens when a prefetch completes after a demand fill
   /// already installed the line). `slot_out`, when non-null, receives the
   /// slot the line occupies after the call (provenance keys its records by
-  /// slot).
+  /// slot). The cache keeps no per-line filler core; `core` is accepted so
+  /// call sites read the same as the MSHR fill they replay.
   std::optional<Eviction> fill(LineAddr line, FillOrigin origin, CoreId core,
                                Cycle now, std::uint32_t* slot_out = nullptr);
 
@@ -200,7 +209,7 @@ class Cache {
   /// refill). Precondition: `line` is not present. Inline: this is the
   /// simulator's per-L1-miss refill path.
   std::optional<Eviction> fill_absent(LineAddr line, FillOrigin origin,
-                                      CoreId core, Cycle now,
+                                      CoreId /*core*/, Cycle now,
                                       std::uint32_t* slot_out = nullptr) {
     const std::uint64_t set = geometry_.set_of_line(line);
     const std::size_t base = set * geometry_.ways();
@@ -222,7 +231,7 @@ class Cache {
     if (way == geometry_.ways()) {
       way = policy_.victim(set);
       SPF_DEBUG_ASSERT(way < geometry_.ways(), "policy returned bad way");
-      CacheLine& victim = lines_[base + way];
+      const CacheLine victim = line_at(base + way);
       ++stats_.evictions;
       if (!victim.used_since_fill) {
         if (victim.origin == FillOrigin::kHelper) ++stats_.evicted_unused_helper;
@@ -233,16 +242,11 @@ class Cache {
     }
 
     if (slot_out != nullptr) *slot_out = static_cast<std::uint32_t>(base + way);
-    lines_[base + way] = CacheLine{
-        .line = line,
-        .valid = true,
-        .dirty = false,
-        .origin = origin,
-        .used_since_fill = origin == FillOrigin::kDemand,
-        .filler_core = core,
-        .fill_time = now,
-    };
     tags_[base + way] = line;
+    ptags_[base + way] = partial_tag(line);
+    meta_[base + way] = static_cast<std::uint8_t>(
+        (static_cast<std::uint8_t>(origin) << kOriginShift) |
+        (origin == FillOrigin::kDemand ? kUsed : 0));
     valid_[set] |= std::uint64_t{1} << way;
     policy_.on_fill(set, way);
     return evicted;
@@ -273,37 +277,69 @@ class Cache {
   /// type erasure on snapshot paths.
   template <typename Fn>
   void for_each_line(Fn&& fn) const {
-    for (const CacheLine& l : lines_) {
-      if (l.valid) fn(l);
+    for (std::uint64_t set = 0; set < valid_.size(); ++set) {
+      for (std::uint64_t m = valid_[set]; m != 0; m &= m - 1) {
+        fn(line_at(set * geometry_.ways() +
+                   static_cast<std::uint32_t>(std::countr_zero(m))));
+      }
     }
   }
 
  private:
   static constexpr std::uint32_t kNoWay = cache_detail::kNoWay;
 
+  // meta_ byte layout: bit 0 dirty, bit 1 used-since-fill, bits 2-3 origin.
+  static constexpr std::uint8_t kDirty = 1u << 0;
+  static constexpr std::uint8_t kUsed = 1u << 1;
+  static constexpr unsigned kOriginShift = 2;
+
   template <typename T>
   using ArenaVec = std::vector<T, ArenaAllocator<T>>;
 
-  /// Way holding `line` in `set`, or kNoWay. Vector compare over the packed
-  /// tag row when available; the validity AND + countr_zero keeps the scalar
-  /// scan's lowest-way-wins order exactly.
+  static FillOrigin origin_of(std::uint8_t meta) noexcept {
+    return static_cast<FillOrigin>(meta >> kOriginShift);
+  }
+
+  [[nodiscard]] std::uint16_t partial_tag(LineAddr line) const noexcept {
+    return static_cast<std::uint16_t>(geometry_.tag_of_line(line));
+  }
+
+  [[nodiscard]] CacheLine line_at(std::size_t slot) const noexcept {
+    const std::uint8_t meta = meta_[slot];
+    return CacheLine{.line = tags_[slot],
+                     .valid = true,
+                     .dirty = (meta & kDirty) != 0,
+                     .origin = origin_of(meta),
+                     .used_since_fill = (meta & kUsed) != 0};
+  }
+
+  /// Way holding `line` in `set`, or kNoWay. The vector path compares the
+  /// set's partial tags, keeps valid candidates and confirms them lowest way
+  /// first against the full tags; the scalar path scans the full tags of the
+  /// valid ways. Both resolve to the lowest matching way.
   [[nodiscard]] std::uint32_t find_way(std::uint64_t set,
                                        LineAddr line) const noexcept {
-    const LineAddr* tags = &tags_[set * geometry_.ways()];
+    const std::size_t base = set * geometry_.ways();
 #ifdef SPF_SIMD_MATCH
     if (!simd::force_scalar) {
-      const std::uint64_t m =
-          simd::match_mask_u64(tags, geometry_.ways(), line) & valid_[set];
-      return m != 0 ? static_cast<std::uint32_t>(std::countr_zero(m)) : kNoWay;
+      std::uint64_t m = simd::match_mask_u16(&ptags_[base], geometry_.ways(),
+                                             partial_tag(line)) &
+                        valid_[set];
+      for (; m != 0; m &= m - 1) {
+        const auto way = static_cast<std::uint32_t>(std::countr_zero(m));
+        if (tags_[base + way] == line) return way;
+      }
+      return kNoWay;
     }
 #endif
-    return cache_detail::find_way_scalar(tags, valid_[set], line);
+    return cache_detail::find_way_scalar(&tags_[base], valid_[set], line);
   }
 
   CacheGeometry geometry_;
   ReplacementState policy_;
-  ArenaVec<CacheLine> lines_;   // num_sets * ways, row-major by set
-  ArenaVec<LineAddr> tags_;     // mirror of lines_[i].line, packed
+  ArenaVec<LineAddr> tags_;        // full line address per slot
+  ArenaVec<std::uint16_t> ptags_;  // low 16 tag bits per slot, + kMatchU16Pad
+  ArenaVec<std::uint8_t> meta_;    // dirty / used / origin per slot
   ArenaVec<std::uint64_t> valid_;  // per-set validity bitmask (ways <= 64)
   CacheStats stats_;
 };

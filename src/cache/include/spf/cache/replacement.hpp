@@ -18,6 +18,7 @@
 // queries. State is owned by the policy, indexed by (set, way).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -41,46 +42,98 @@ enum class ReplacementKind : std::uint8_t {
 /// Parses "lru" / "plru" / "fifo" / "random" / "srrip" (case-sensitive).
 [[nodiscard]] ReplacementKind replacement_from_string(const std::string& s);
 
-/// True LRU via per-line monotonic reference stamps; victim is the minimum
-/// stamp. Linear scan over <= 16 ways is cheaper than maintaining a list.
+/// True LRU held as one recency-order list per set: entry 0 names the most
+/// recently used way, entry ways-1 the least recently used one (the victim).
+/// Entries are packed into u64 words — nibbles (16 per word) for sets of up
+/// to 16 ways, so a typical set's whole order is one word; bytes (8 per
+/// word) for wider sets of up to 64 ways. A touch finds the way's entry with
+/// a SWAR zero-entry test and shifts the entries in front of it up by one;
+/// the victim is a single entry read.
+///
+/// A fresh set lists its ways in descending order (way 0 is least recent),
+/// so ways not touched since the last reset are victimized lowest way first,
+/// and only after them the least recently touched way.
 class LruState {
  public:
-  LruState(std::uint64_t num_sets, std::uint32_t ways)
-      : ways_(ways), stamps_(num_sets * ways, 0) {}
+  LruState(std::uint64_t num_sets, std::uint32_t ways) { reset(num_sets, ways); }
 
-  /// As-if-freshly-constructed, reusing stamp storage capacity.
+  /// As-if-freshly-constructed, reusing order-word storage capacity.
   void reset(std::uint64_t num_sets, std::uint32_t ways) {
+    SPF_ASSERT(ways >= 1 && ways <= 64, "LRU order word holds 1..64 ways");
     ways_ = ways;
-    clock_ = 0;
-    stamps_.assign(num_sets * ways, 0);
-  }
-
-  void on_hit(std::uint64_t set, std::uint32_t way) {
-    stamps_[set * ways_ + way] = ++clock_;
-  }
-  void on_fill(std::uint64_t set, std::uint32_t way) {
-    stamps_[set * ways_ + way] = ++clock_;
-  }
-  [[nodiscard]] std::uint32_t victim(std::uint64_t set) {
-    std::uint32_t best = 0;
-    std::uint64_t best_stamp = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      const std::uint64_t s = stamps_[set * ways_ + w];
-      if (s < best_stamp) {
-        best_stamp = s;
-        best = w;
+    entry_bits_ = ways <= 16 ? 4 : 8;
+    const std::uint32_t per_word = 64 / entry_bits_;
+    words_ = (ways + per_word - 1) / per_word;
+    std::uint64_t fresh[8] = {};
+    for (std::uint32_t pos = 0; pos < ways; ++pos) {
+      fresh[pos / per_word] |= std::uint64_t{ways - 1 - pos}
+                               << (pos % per_word * entry_bits_);
+    }
+    order_.resize(num_sets * words_);
+    for (std::uint64_t set = 0; set < num_sets; ++set) {
+      for (std::uint32_t w = 0; w < words_; ++w) {
+        order_[set * words_ + w] = fresh[w];
       }
     }
-    return best;
+  }
+
+  void on_hit(std::uint64_t set, std::uint32_t way) { touch(set, way); }
+  void on_fill(std::uint64_t set, std::uint32_t way) { touch(set, way); }
+  [[nodiscard]] std::uint32_t victim(std::uint64_t set) const {
+    const std::uint32_t per_word = 64 / entry_bits_;
+    const std::uint32_t pos = ways_ - 1;
+    const std::uint64_t word = order_[set * words_ + pos / per_word];
+    const std::uint64_t entry_mask = (std::uint64_t{1} << entry_bits_) - 1;
+    return static_cast<std::uint32_t>(
+        (word >> (pos % per_word * entry_bits_)) & entry_mask);
   }
   [[nodiscard]] ReplacementKind kind() const noexcept {
     return ReplacementKind::kLru;
   }
 
  private:
-  std::uint32_t ways_;
-  std::uint64_t clock_ = 0;
-  std::vector<std::uint64_t> stamps_;
+  void touch(std::uint64_t set, std::uint32_t way) {
+    SPF_DEBUG_ASSERT(way < ways_, "LRU touch of a way outside the set");
+    std::uint64_t* row = &order_[set * words_];
+    if (entry_bits_ == 4) {
+      move_to_front<4>(row, way);
+    } else {
+      move_to_front<8>(row, way);
+    }
+  }
+
+  /// Moves `way` to entry 0 of the order list starting at `row`, shifting
+  /// every entry in front of it up one place (across word boundaries). The
+  /// way must be listed: each word before its own shifts whole, carrying its
+  /// top entry into the next word.
+  template <unsigned Bits>
+  static void move_to_front(std::uint64_t* row, std::uint32_t way) {
+    constexpr std::uint64_t kOnes = ~std::uint64_t{0} / ((1u << Bits) - 1);
+    constexpr std::uint64_t kHighs = kOnes << (Bits - 1);
+    std::uint64_t carry = way;
+    for (;; ++row) {
+      // Entries equal to `way` become zero; the lowest zero entry's high
+      // bit is the lowest set bit of `hit` (borrows only run upward).
+      const std::uint64_t x = *row ^ (kOnes * way);
+      const std::uint64_t hit = (x - kOnes) & ~x & kHighs;
+      if (hit != 0) {
+        const auto shift =
+            static_cast<unsigned>(std::countr_zero(hit)) + 1 - Bits;
+        const std::uint64_t front = (std::uint64_t{1} << shift) - 1;
+        const std::uint64_t through = ~std::uint64_t{0} >> (64 - Bits - shift);
+        *row = (*row & ~through) | ((*row & front) << Bits) | carry;
+        return;
+      }
+      const std::uint64_t out = *row >> (64 - Bits);
+      *row = (*row << Bits) | carry;
+      carry = out;
+    }
+  }
+
+  std::uint32_t ways_ = 0;
+  std::uint32_t entry_bits_ = 4;
+  std::uint32_t words_ = 1;  // order words per set
+  std::vector<std::uint64_t> order_;
 };
 
 /// Tree pseudo-LRU: one bit per internal node of a binary tree over the ways.

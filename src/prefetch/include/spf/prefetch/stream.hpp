@@ -5,18 +5,32 @@
 // work on physical addresses). Two consecutive misses to adjacent lines in
 // the same page arm a stream; while armed, each access at the stream head
 // pulls the window `distance` lines ahead.
+//
+// The tracker table is laid out for the per-access page lookup, like a
+// cache set: tracker pages sit in one packed u64 array, their low 16 bits in
+// a packed u16 row that `simd::match_mask_u16` compares 8 trackers per
+// instruction, and a live bitmask says which trackers hold a stream. Partial
+// matches are confirmed against the full page, lowest tracker first (the
+// scalar path, under SPF_FORCE_SCALAR_TAGS, compares full pages of the live
+// trackers). Only the live mask is authoritative — a dead tracker's page and
+// stream state are never read — so a fresh stream takes the lowest dead
+// tracker straight from the mask and reset() clears just the mask. Tracker
+// recency is an LruState order word over the trackers, so replacing the
+// least recently touched tracker reads one entry instead of scanning stamps.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
+#include "spf/cache/replacement.hpp"
+#include "spf/common/simd_match.hpp"
 #include "spf/prefetch/prefetcher.hpp"
 
 namespace spf {
 
 struct StreamConfig {
-  /// Concurrent stream trackers (Core 2 streamer tracks 8-16).
+  /// Concurrent stream trackers (Core 2 streamer tracks 8-16); at most 64.
   std::uint32_t streams = 16;
   /// How many lines ahead of the head to run.
   std::uint32_t distance = 4;
@@ -37,43 +51,56 @@ class StreamPrefetcher final : public HwPrefetcher {
   [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }
 
  private:
-  enum class State : std::uint8_t { kInvalid, kTraining, kArmed };
+  enum class State : std::uint8_t { kTraining, kArmed };
 
+  /// Per-tracker stream state, read only once the page lookup picked the
+  /// tracker.
   struct Stream {
-    State state = State::kInvalid;
-    std::uint64_t page = 0;   // page-granular address
+    State state = State::kTraining;
     LineAddr last_line = 0;   // last observed line in the stream
     LineAddr sent_until = 0;  // highest (or lowest) line already requested
     std::int8_t dir = 1;      // +1 ascending, -1 descending
-    std::uint64_t lru = 0;    // replacement stamp
   };
 
-  Stream* find_page(std::uint64_t page) {
-    for (Stream& s : streams_) {
-      if (s.state != State::kInvalid && s.page == page) return &s;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// Live tracker following `page`, or kNone. The vector path compares the
+  /// low 16 page bits of every tracker, keeps live candidates and confirms
+  /// them against the full page, lowest tracker first.
+  [[nodiscard]] std::uint32_t find_page(std::uint64_t page) const {
+    std::uint64_t m = live_;
+#ifdef SPF_SIMD_MATCH
+    if (!simd::force_scalar) {
+      m &= simd::match_mask_u16(page_lo_.data(), config_.streams,
+                                static_cast<std::uint16_t>(page));
     }
-    return nullptr;
+#endif
+    for (; m != 0; m &= m - 1) {
+      const auto i = static_cast<std::uint32_t>(std::countr_zero(m));
+      if (pages_[i] == page) return i;
+    }
+    return kNone;
   }
 
-  Stream& victim() {
-    Stream* best = &streams_[0];
-    std::uint64_t best_lru = std::numeric_limits<std::uint64_t>::max();
-    for (Stream& s : streams_) {
-      if (s.state == State::kInvalid) return s;
-      if (s.lru < best_lru) {
-        best_lru = s.lru;
-        best = &s;
-      }
+  /// Tracker a fresh stream replaces: the lowest dead one, else the least
+  /// recently touched.
+  [[nodiscard]] std::uint32_t victim() const {
+    if (const std::uint64_t dead = ~live_ & all_trackers_; dead != 0) {
+      return static_cast<std::uint32_t>(std::countr_zero(dead));
     }
-    return *best;
+    return recency_.victim(0);
   }
 
   StreamConfig config_;
   std::uint32_t line_shift_;
   std::uint32_t page_shift_;
   std::uint32_t lines_per_page_;
+  std::uint64_t all_trackers_;  // low `streams` bits set
+  std::uint64_t live_ = 0;      // bit i set iff tracker i holds a stream
+  std::vector<std::uint64_t> pages_;    // page-granular address per tracker
+  std::vector<std::uint16_t> page_lo_;  // low 16 page bits, + kMatchU16Pad
+  LruState recency_;                    // tracker touch order (one "set")
   std::vector<Stream> streams_;
-  std::uint64_t clock_ = 0;
   std::uint64_t issued_ = 0;
 };
 
@@ -83,21 +110,23 @@ inline void StreamPrefetcher::observe(const PrefetchObservation& obs,
                                       std::vector<LineAddr>& out) {
   const LineAddr line = obs.addr >> line_shift_;
   const std::uint64_t page = obs.addr >> page_shift_;
-  ++clock_;
 
-  Stream* s = find_page(page);
-  if (s == nullptr) {
+  const std::uint32_t i = find_page(page);
+  if (i == kNone) {
     if (!obs.was_miss) return;  // streams train on misses only
-    Stream& fresh = victim();
-    fresh = Stream{.state = State::kTraining,
-                   .page = page,
-                   .last_line = line,
-                   .sent_until = line,
-                   .dir = 1,
-                   .lru = clock_};
+    const std::uint32_t fresh = victim();
+    live_ |= std::uint64_t{1} << fresh;
+    pages_[fresh] = page;
+    page_lo_[fresh] = static_cast<std::uint16_t>(page);
+    recency_.on_fill(0, fresh);
+    streams_[fresh] = Stream{.state = State::kTraining,
+                             .last_line = line,
+                             .sent_until = line,
+                             .dir = 1};
     return;
   }
-  s->lru = clock_;
+  recency_.on_hit(0, i);
+  Stream* s = &streams_[i];
 
   if (s->state == State::kTraining) {
     if (!obs.was_miss || line == s->last_line) return;
@@ -119,7 +148,7 @@ inline void StreamPrefetcher::observe(const PrefetchObservation& obs,
 
   // Armed: keep the window `distance` lines ahead of the head, `degree` lines
   // per trigger, clipped to the page.
-  const LineAddr page_first = s->page << (page_shift_ - line_shift_);
+  const LineAddr page_first = page << (page_shift_ - line_shift_);
   const LineAddr page_last = page_first + lines_per_page_ - 1;
   std::uint32_t sent = 0;
   while (sent < config_.degree) {

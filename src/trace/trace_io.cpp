@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace spf {
 namespace {
@@ -46,10 +47,32 @@ TraceBuffer read_trace(const std::filesystem::path& path) {
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!in) throw std::runtime_error("truncated trace header: " + path.string());
+  // The count is untrusted: bound it by the bytes actually present before
+  // sizing any allocation from it.
+  const std::streamoff body_begin = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(body_begin);
+  if (!in || body_begin < 0 || file_end < body_begin) {
+    throw std::runtime_error("cannot size trace file: " + path.string());
+  }
+  const auto body_bytes = static_cast<std::uint64_t>(file_end - body_begin);
+  if (count > body_bytes / sizeof(TraceRecord)) {
+    throw std::runtime_error("truncated trace body: " + path.string() +
+                             " declares " + std::to_string(count) +
+                             " records but holds " +
+                             std::to_string(body_bytes / sizeof(TraceRecord)));
+  }
   std::vector<TraceRecord> records(count);
   in.read(reinterpret_cast<char*>(records.data()),
           static_cast<std::streamsize>(count * sizeof(TraceRecord)));
   if (!in) throw std::runtime_error("truncated trace body: " + path.string());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if ((records[i].packed & 0x3) > static_cast<std::uint8_t>(AccessKind::kPrefetch)) {
+      throw std::runtime_error("bad access kind in trace record " +
+                               std::to_string(i) + ": " + path.string());
+    }
+  }
   return TraceBuffer(std::move(records));
 }
 

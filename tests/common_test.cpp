@@ -288,6 +288,26 @@ TEST(SimdMatchTest, MaskMatchesScalarScan) {
         << "n=" << n << " trial=" << trial;
   }
 }
+
+// Every width 1..64, including the ones that end mid-group of 8: bits below
+// n must equal the scalar scan; the padding lanes read past n are the
+// caller's to mask.
+TEST(SimdMatchTest, U16MaskMatchesScalarScanAtEveryWidth) {
+  Xoshiro256 rng(7);
+  for (std::uint32_t n = 1; n <= 64; ++n) {
+    std::vector<std::uint16_t> vals(n + simd::kMatchU16Pad);
+    for (auto& v : vals) v = static_cast<std::uint16_t>(rng.below(4) * 0x4001);
+    const auto needle = static_cast<std::uint16_t>(rng.below(4) * 0x4001);
+    std::uint64_t expected = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (vals[i] == needle) expected |= std::uint64_t{1} << i;
+    }
+    const std::uint64_t below_n =
+        n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    EXPECT_EQ(simd::match_mask_u16(vals.data(), n, needle) & below_n, expected)
+        << "n=" << n;
+  }
+}
 #endif  // SPF_SIMD_MATCH
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "spf/common/rng.hpp"
 #include "spf/prefetch/chain.hpp"
 #include "spf/prefetch/stream.hpp"
 #include "spf/prefetch/stride.hpp"
@@ -204,6 +205,144 @@ TEST(StreamPrefetcherTest, ManyStreamsTrackedConcurrently) {
         out);
   }
   EXPECT_EQ(out.size(), 4u);
+}
+
+/// The streamer contract written out plainly: an array of trackers, each
+/// with its own validity flag and touch stamp, scanned front to back. A miss
+/// with no tracker for its page takes the first invalid tracker, else the
+/// least recently touched one; two misses at most two lines apart arm a
+/// stream, which then keeps `distance` lines ahead, `degree` per access,
+/// without leaving the page.
+class ReferenceStreamer {
+ public:
+  explicit ReferenceStreamer(const StreamConfig& c)
+      : config_(c), trackers_(c.streams) {}
+
+  void observe(Addr addr, bool miss, std::vector<LineAddr>& out) {
+    const LineAddr line = addr / config_.line_bytes;
+    const std::uint64_t page = addr / config_.page_bytes;
+    ++clock_;
+    Tracker* t = nullptr;
+    for (Tracker& candidate : trackers_) {
+      if (candidate.valid && candidate.page == page) {
+        t = &candidate;
+        break;
+      }
+    }
+    if (t == nullptr) {
+      if (!miss) return;
+      Tracker* victim = nullptr;
+      for (Tracker& candidate : trackers_) {
+        if (!candidate.valid) {
+          victim = &candidate;
+          break;
+        }
+        if (victim == nullptr || candidate.stamp < victim->stamp) {
+          victim = &candidate;
+        }
+      }
+      *victim = Tracker{.valid = true,
+                        .armed = false,
+                        .page = page,
+                        .last = line,
+                        .sent = line,
+                        .dir = 1,
+                        .stamp = clock_};
+      return;
+    }
+    t->stamp = clock_;
+    if (!t->armed) {
+      if (!miss || line == t->last) return;
+      t->dir = line > t->last ? 1 : -1;
+      const LineAddr gap = line > t->last ? line - t->last : t->last - line;
+      t->armed = gap <= 2;
+      t->last = line;
+      t->sent = line;
+      if (!t->armed) return;
+    }
+    t->last = line;
+    const std::int64_t lines_per_page = config_.page_bytes / config_.line_bytes;
+    const std::int64_t first = static_cast<std::int64_t>(page) * lines_per_page;
+    for (std::uint32_t n = 0; n < config_.degree; ++n) {
+      const std::int64_t ahead =
+          (static_cast<std::int64_t>(t->sent) - static_cast<std::int64_t>(line)) *
+          t->dir;
+      const std::int64_t next = static_cast<std::int64_t>(t->sent) + t->dir;
+      if (ahead >= static_cast<std::int64_t>(config_.distance) ||
+          next < first || next >= first + lines_per_page) {
+        break;
+      }
+      t->sent = static_cast<LineAddr>(next);
+      out.push_back(t->sent);
+      ++issued;
+    }
+  }
+
+  void reset() {
+    trackers_.assign(trackers_.size(), Tracker{});
+    clock_ = 0;
+    issued = 0;
+  }
+
+  std::uint64_t issued = 0;
+
+ private:
+  struct Tracker {
+    bool valid = false;
+    bool armed = false;
+    std::uint64_t page = 0;
+    LineAddr last = 0;
+    LineAddr sent = 0;
+    int dir = 1;
+    std::uint64_t stamp = 0;
+  };
+
+  StreamConfig config_;
+  std::vector<Tracker> trackers_;
+  std::uint64_t clock_ = 0;
+};
+
+// Differential: the packed streamer against the reference over seeded walks
+// that touch more pages than there are trackers (forcing replacement), alias
+// pages in their low 16 bits, mix hits and misses, reverse direction and
+// reset mid-stream.
+TEST(StreamPrefetcherTest, MatchesReferenceStreamer) {
+  for (std::uint32_t streams : {1u, 4u, 16u, 63u, 64u}) {
+    StreamConfig cfg;
+    cfg.streams = streams;
+    cfg.degree = 1 + streams % 3;
+    cfg.distance = 2 + streams % 5;
+    StreamPrefetcher pf(cfg);
+    ReferenceStreamer ref(cfg);
+    Xoshiro256 rng(streams);
+    const std::uint64_t pages = streams + 3;
+    Addr addr = 0;
+    for (int op = 0; op < 20000; ++op) {
+      const std::uint64_t roll = rng.below(100);
+      if (roll < 20) {
+        // Half the pages alias another page's low 16 bits, so a partial
+        // page match alone would pick the wrong tracker.
+        const std::uint64_t page =
+            rng.below(pages) + (rng.below(2) << 16) * (1 + rng.below(3));
+        addr = page * cfg.page_bytes + rng.below(cfg.page_bytes);
+      } else if (roll < 60) {
+        addr += cfg.line_bytes * (1 + rng.below(2));
+      } else if (roll < 75) {
+        addr = addr >= cfg.line_bytes ? addr - cfg.line_bytes : 0;
+      }
+      if (op % 5000 == 4999) {
+        pf.reset();
+        ref.reset();
+      }
+      const bool miss = rng.below(4) != 0;
+      std::vector<LineAddr> got, want;
+      pf.observe(PrefetchObservation{.addr = addr, .site = 0, .was_miss = miss},
+                 got);
+      ref.observe(addr, miss, want);
+      ASSERT_EQ(got, want) << "streams " << streams << " op " << op;
+    }
+    EXPECT_EQ(pf.issued(), ref.issued) << "streams " << streams;
+  }
 }
 
 TEST(PrefetcherChainTest, MergesAndDeduplicates) {

@@ -106,6 +106,43 @@ TEST_F(TraceIoTest, TruncatedBodyRejected) {
   EXPECT_THROW(read_trace(path_), std::runtime_error);
 }
 
+TEST_F(TraceIoTest, TruncatedHeaderRejected) {
+  TraceBuffer out;
+  out.emit(64, 0, AccessKind::kRead, 0);
+  write_trace(path_, out);
+  std::filesystem::resize_file(path_, 12);  // magic + version + half a count
+  EXPECT_THROW(read_trace(path_), std::runtime_error);
+}
+
+// A header claiming ~2^60 records over a one-record body must be rejected
+// before anything is sized from the count (no multi-exabyte allocation).
+TEST_F(TraceIoTest, HugeCountRejectedBeforeAllocating) {
+  TraceBuffer out;
+  out.emit(64, 0, AccessKind::kRead, 0);
+  write_trace(path_, out);
+  {
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(8);
+    const std::uint64_t huge = std::uint64_t{1} << 60;
+    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
+  EXPECT_THROW(read_trace(path_), std::runtime_error);
+}
+
+TEST_F(TraceIoTest, BadAccessKindRejected) {
+  TraceBuffer out;
+  for (int i = 0; i < 4; ++i) out.emit(i * 64, 0, AccessKind::kRead, 0);
+  write_trace(path_, out);
+  {
+    // Record 2's packed byte (offset 15 within the record) gets kind 3.
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(16 + 2 * 16 + 15);
+    const char packed = 0x3;
+    f.write(&packed, 1);
+  }
+  EXPECT_THROW(read_trace(path_), std::runtime_error);
+}
+
 TEST_F(TraceIoTest, MissingFileRejected) {
   EXPECT_THROW(read_trace("/nonexistent/dir/file.spft"), std::runtime_error);
 }
