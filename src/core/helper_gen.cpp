@@ -9,19 +9,10 @@ namespace spf {
 TraceBuffer make_helper_trace(const TraceBuffer& main_trace,
                               const SpParams& params,
                               const HelperGenOptions& options) {
-  TraceBuffer helper;
-  make_helper_trace_into(main_trace, params, options, helper);
-  return helper;
-}
-
-void make_helper_trace_into(const TraceBuffer& main_trace,
-                            const SpParams& params,
-                            const HelperGenOptions& options, TraceBuffer& out) {
   SPF_ASSERT(params.a_pre > 0, "helper must pre-execute at least one iteration");
   const std::uint32_t round = params.round();
 
-  TraceBuffer& helper = out;
-  helper.clear();
+  TraceBuffer helper;
   helper.reserve(main_trace.size() / 2);
   // Records arrive grouped by outer iteration, so the round position only
   // needs recomputing when the iteration changes — not one div per record.
@@ -33,8 +24,7 @@ void make_helper_trace_into(const TraceBuffer& main_trace,
       last_outer = r.outer_iter;
       last_pos = r.outer_iter % round;
     }
-    const std::uint32_t pos = last_pos;
-    const bool pre_execute = pos >= params.a_ski;
+    const bool pre_execute = last_pos >= params.a_ski;
     if (!pre_execute && !r.is_spine()) continue;
 
     AccessKind kind = AccessKind::kRead;
@@ -44,6 +34,7 @@ void make_helper_trace_into(const TraceBuffer& main_trace,
     helper.emit(r.addr, r.outer_iter, kind, r.site, r.flags(),
                 options.helper_compute_gap);
   }
+  return helper;
 }
 
 TraceBuffer merge_traces_by_iter(const TraceBuffer& a, const TraceBuffer& b) {

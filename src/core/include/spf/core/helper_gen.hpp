@@ -21,15 +21,16 @@
 // Two implementations of the transform exist and are pinned equivalent by
 // tests/trace_cursor_property_test.cpp:
 //
-//   * make_helper_trace / make_helper_trace_into — materialize the helper
-//     stream into a TraceBuffer (the reference implementation);
-//   * HelperViewCursor — a lazy TraceCursor view that applies the same
+//   * HelperViewCursor — a lazy TraceCursor view that applies the
 //     per-record transform while streaming over the main trace, allocating
 //     no record storage. It also satisfies BulkTraceCursor (fill() writes a
 //     whole window in one flat loop), so it feeds both the distance-bound
 //     refinement (spf/core/distance_bound.hpp) and the simulator's helper
-//     core via CursorWindowSource (docs/simulator.md "Cursor-fed cores &
-//     the peek window"); the materialized path survives as the reference.
+//     core via CursorWindowSource (docs/simulator.md "Replay engine &
+//     record feed"). Every production path uses it.
+//   * make_helper_trace — materializes the same stream into a TraceBuffer,
+//     for tools that inspect or persist the helper stream and for the tests'
+//     reference paths.
 #pragma once
 
 #include <cstdint>
@@ -58,13 +59,6 @@ struct HelperGenOptions {
                                             const SpParams& params,
                                             const HelperGenOptions& options = {});
 
-/// Allocation-reusing variant: clears `out` and synthesizes the helper
-/// stream into it (ExperimentContext's scratch path). Same output as
-/// make_helper_trace.
-void make_helper_trace_into(const TraceBuffer& main_trace,
-                            const SpParams& params,
-                            const HelperGenOptions& options, TraceBuffer& out);
-
 /// Merges two traces into one stream ordered by outer_iter. Used to measure
 /// "Set Affinity with Helper Thread" over the combined reference stream of
 /// both data access entities.
@@ -83,9 +77,8 @@ void make_helper_trace_into(const TraceBuffer& main_trace,
 /// trace and applies make_helper_trace's skip/pre-execute transform per
 /// record, storing nothing. Optionally re-anchors kept records to the main-
 /// thread iteration at which they hit the shared cache
-/// (outer_iter -> max(outer_iter - A_SKI, 0)), the transform
-/// refine_with_helper otherwise applies with a mutation pass over a
-/// materialized helper buffer.
+/// (outer_iter -> max(outer_iter - A_SKI, 0)) — the view refine_with_helper
+/// merges with the main stream.
 ///
 /// The view borrows the main trace's storage; the buffer must outlive the
 /// cursor.
@@ -133,7 +126,7 @@ class HelperViewCursor {
   /// count written. Observationally equivalent to repeated
   /// {current(), advance()} — the scan runs as one flat loop straight into
   /// the destination, which is how the simulator's window source pulls the
-  /// helper stream at the materialized generator's cost without the scratch.
+  /// helper stream at the materialized generator's cost without a buffer.
   std::size_t fill(TraceRecord* dst, std::size_t cap) {
     if (cap == 0 || done()) return 0;
     std::size_t n = 0;
@@ -149,7 +142,7 @@ class HelperViewCursor {
   }
 
  private:
-  /// The skip/pre-execute predicate of make_helper_trace_into, including its
+  /// The skip/pre-execute predicate of make_helper_trace, including its
   /// per-iteration round-position memoization (last_outer_/last_pos_).
   [[nodiscard]] bool keeps(const TraceRecord& r) {
     if (r.kind() == AccessKind::kWrite) return false;  // helper never stores
@@ -177,8 +170,7 @@ class HelperViewCursor {
   }
 
   /// Advances pos_ to the next main-trace record the helper keeps and caches
-  /// its transformed image in current_. Mirrors make_helper_trace_into
-  /// exactly.
+  /// its transformed image in current_. Mirrors make_helper_trace exactly.
   void settle() {
     for (; pos_ < records_.size(); ++pos_) {
       const TraceRecord& r = records_[pos_];

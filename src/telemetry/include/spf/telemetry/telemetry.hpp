@@ -197,7 +197,10 @@ class Session {
 
 namespace detail {
 extern std::atomic<Session*> g_session;
-extern thread_local Lane* tl_lane;
+// constinit: the lane pointer is constant-initialized, so every access is a
+// plain TLS load — no dynamic-initialization wrapper call (whose inlined
+// guard UBSan flags as a null-pointer load on GCC).
+extern constinit thread_local Lane* tl_lane;
 }  // namespace detail
 
 /// Installs `session` as the process-global recording target and binds the

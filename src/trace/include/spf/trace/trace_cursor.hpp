@@ -26,7 +26,7 @@
 // consumes: a windowed view over any cursor (CursorWindowSource) or over a
 // materialized buffer (BufferCursor), giving the scheduler its bounded peek
 // lookahead without dictating where the records come from. See
-// docs/simulator.md "Cursor-fed cores & the peek window".
+// docs/simulator.md "Replay engine & record feed".
 #pragma once
 
 #include <array>

@@ -21,9 +21,9 @@ namespace spf {
 void write_trace(const std::filesystem::path& path, const TraceBuffer& trace);
 
 /// Loads a trace written by write_trace. Throws std::runtime_error on I/O
-/// failure, format mismatch, a record count the file cannot hold (checked
-/// before anything is allocated) or a record whose access kind is not one of
-/// AccessKind's values.
+/// failure, format mismatch, a body that is not exactly the declared record
+/// count (checked before anything is allocated) or a record whose access
+/// kind is not one of AccessKind's values.
 [[nodiscard]] TraceBuffer read_trace(const std::filesystem::path& path);
 
 }  // namespace spf

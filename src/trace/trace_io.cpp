@@ -47,8 +47,9 @@ TraceBuffer read_trace(const std::filesystem::path& path) {
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!in) throw std::runtime_error("truncated trace header: " + path.string());
-  // The count is untrusted: bound it by the bytes actually present before
-  // sizing any allocation from it.
+  // The count is untrusted: check it against the bytes actually present
+  // before sizing any allocation from it. The body must be exactly `count`
+  // records — a longer body is as malformed as a shorter one.
   const std::streamoff body_begin = in.tellg();
   in.seekg(0, std::ios::end);
   const std::streamoff file_end = in.tellg();
@@ -57,11 +58,12 @@ TraceBuffer read_trace(const std::filesystem::path& path) {
     throw std::runtime_error("cannot size trace file: " + path.string());
   }
   const auto body_bytes = static_cast<std::uint64_t>(file_end - body_begin);
-  if (count > body_bytes / sizeof(TraceRecord)) {
-    throw std::runtime_error("truncated trace body: " + path.string() +
+  if (body_bytes % sizeof(TraceRecord) != 0 ||
+      count != body_bytes / sizeof(TraceRecord)) {
+    throw std::runtime_error("trace body size mismatch: " + path.string() +
                              " declares " + std::to_string(count) +
-                             " records but holds " +
-                             std::to_string(body_bytes / sizeof(TraceRecord)));
+                             " records but its body is " +
+                             std::to_string(body_bytes) + " bytes");
   }
   std::vector<TraceRecord> records(count);
   in.read(reinterpret_cast<char*>(records.data()),

@@ -1,6 +1,6 @@
 // Shared random-program generator for fuzz-style tests: ir_fuzz_test.cpp
-// checks interpreter invariants over it, replay_differential_test.cpp feeds
-// its traces through both simulator replay engines.
+// checks interpreter invariants over it, spec_sim_differential_test.cpp feeds
+// its traces through the replay engine and the executable spec.
 #pragma once
 
 #include <cstdint>

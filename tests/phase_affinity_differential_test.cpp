@@ -7,11 +7,12 @@
 // then run the windowing/EMA/hysteresis phase rule over the collected
 // (iteration, SA) sample list as plain post-hoc code.
 //
-// The refinement entry point (refine_phase_bounds) is also pinned both ways:
-// the lazy cursor composition over the merged main+helper view against the
-// materializing reference path, plus the zero-allocation contract via
-// spf::trace_hooks. A dedicated ctest entry replays this binary with
-// SPF_FORCE_SCALAR_TAGS=1, and a TSan build pins it race-free
+// The refinement entry point (refine_phase_bounds) is also pinned: its lazy
+// cursor composition over the merged main+helper view against a reference
+// built here from materialized buffers (make_helper_trace, A_SKI re-anchor,
+// merge_traces_by_iter, the buffer analysis), plus the zero-allocation
+// contract via spf::trace_hooks. A dedicated ctest entry replays this binary
+// with SPF_FORCE_SCALAR_TAGS=1, and a TSan build pins it race-free
 // (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "spf/core/distance_bound.hpp"
+#include "spf/core/helper_gen.hpp"
 #include "spf/core/sp_params.hpp"
 #include "spf/profile/incremental_affinity.hpp"
 #include "spf/trace/trace_cursor.hpp"
@@ -298,6 +300,39 @@ TEST(PhaseAffinityDifferential, CumulativeFallbackMatchesNaiveReference) {
   expect_identical(streaming, naive_reference(trace, starts, l2, cfg));
 }
 
+/// refine_phase_bounds' contract over a materialized combined stream: the
+/// helper's records re-anchored by A_SKI and merged into the main stream.
+PhasedDistanceBound refine_phase_reference(
+    const PhasedDistanceBound& base, const TraceBuffer& trace,
+    const std::vector<std::uint32_t>& starts, const SpParams& params) {
+  TraceBuffer helper = make_helper_trace(trace, params);
+  for (TraceRecord& r : helper.mutable_records()) {
+    r.outer_iter = r.outer_iter >= params.a_ski ? r.outer_iter - params.a_ski : 0;
+  }
+  const PhasedSaResult sa = analyze_workload_sa_phased(
+      merge_traces_by_iter(trace, helper), starts, test_l2(), {});
+  PhasedDistanceBound refined;
+  refined.whole = base.whole;
+  if (sa.whole.merged.any_saturated()) {
+    refined.whole.with_helper_min_sa = sa.whole.merged.min_sa();
+    refined.whole.upper_limit = std::max<std::uint32_t>(
+        1, std::min(*refined.whole.with_helper_min_sa,
+                    base.whole.original_min_sa / 2));
+  }
+  const std::uint32_t half =
+      std::max<std::uint32_t>(1, base.whole.original_min_sa / 2);
+  for (const AffinityPhase& p : sa.phases) {
+    const std::uint32_t cap =
+        p.samples != 0 ? std::max<std::uint32_t>(1, std::min(p.min_sa, half))
+                       : refined.whole.upper_limit;
+    refined.phases.push_back(PhaseDistanceBound{.begin_iter = p.begin_iter,
+                                                .end_iter = p.end_iter,
+                                                .min_sa = p.min_sa,
+                                                .upper_limit = cap});
+  }
+  return refined;
+}
+
 TEST(PhaseAffinityDifferential, RefineStreamingMatchesMaterializing) {
   const TraceBuffer trace = shifting_trace();
   const std::vector<std::uint32_t> starts = {0};
@@ -306,12 +341,10 @@ TEST(PhaseAffinityDifferential, RefineStreamingMatchesMaterializing) {
   for (const double rp : {0.5, 1.0}) {
     SCOPED_TRACE(rp);
     const SpParams params = SpParams::from_distance_rp(6, rp);
-    const PhasedDistanceBound a = refine_phase_bounds(
-        base, trace, starts, params, test_l2(),
-        DistanceBoundOptions{.streaming_refine = false});
-    const PhasedDistanceBound b = refine_phase_bounds(
-        base, trace, starts, params, test_l2(),
-        DistanceBoundOptions{.streaming_refine = true});
+    const PhasedDistanceBound a =
+        refine_phase_reference(base, trace, starts, params);
+    const PhasedDistanceBound b =
+        refine_phase_bounds(base, trace, starts, params, test_l2());
     EXPECT_EQ(a.whole.original_min_sa, b.whole.original_min_sa);
     EXPECT_EQ(a.whole.with_helper_min_sa, b.whole.with_helper_min_sa);
     EXPECT_EQ(a.whole.upper_limit, b.whole.upper_limit);
@@ -348,14 +381,12 @@ TEST(PhaseAffinityAllocation, StreamingRefineAllocatesNoTraceRecords) {
 
   // Positive control: the materializing reference grows trace storage.
   const std::uint64_t before_ref = trace_hooks::record_allocations();
-  (void)refine_phase_bounds(base, trace, starts, params, test_l2(),
-                            DistanceBoundOptions{.streaming_refine = false});
+  (void)refine_phase_reference(base, trace, starts, params);
   EXPECT_GT(trace_hooks::record_allocations(), before_ref);
 
   // The streaming path composes cursors over the existing buffer: zero.
   const std::uint64_t before = trace_hooks::record_allocations();
-  (void)refine_phase_bounds(base, trace, starts, params, test_l2(),
-                            DistanceBoundOptions{.streaming_refine = true});
+  (void)refine_phase_bounds(base, trace, starts, params, test_l2());
   EXPECT_EQ(trace_hooks::record_allocations() - before, 0u);
 }
 

@@ -1,15 +1,15 @@
-// Differential test of the simulator's two record feeds (docs/simulator.md
-// "Cursor-fed cores & the peek window"): every SimResult field must be
-// identical whether the helper core replays a materialized helper trace
-// through the buffer-indexed reference engine or pulls lazily synthesized
-// records through the RecordSource window (SimConfig::streaming_cores, the
-// fused default). Structured em3d/mcf/mst workloads drive all four
-// feed × engine combinations, window sizes down to a single record stress
-// refill at every peek, and the ExperimentContext seam is pinned at the
-// SpRunSummary level — including the fused path's zero trace-record
-// allocation contract (trace_hooks::record_allocations). A scalar-tags ctest
-// variant replays the suite under SPF_FORCE_SCALAR_TAGS=1, and a TSan
-// variant runs it race-instrumented when SPF_SANITIZE=thread.
+// Differential test of the simulator's record feed (docs/simulator.md
+// "Replay engine & record feed"): every SimResult field must be identical
+// whether the helper core pulls lazily synthesized records through a
+// HelperViewCursor window — the production feed — or reads a helper trace
+// materialized up front by make_helper_trace, which the test builds itself
+// as the reference. Structured em3d/mcf/mst workloads run window sizes from
+// a single record (a refill behind every consume) up to the production
+// 4096, and the ExperimentContext seam is pinned at the SpRunSummary level —
+// including its zero trace-record allocation contract
+// (trace_hooks::record_allocations). A scalar-tags ctest variant replays the
+// suite under SPF_FORCE_SCALAR_TAGS=1, and a TSan variant runs it
+// race-instrumented when SPF_SANITIZE=thread.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,7 +30,7 @@ namespace {
 using test::expect_same_result;
 
 /// Small shared L2 so the workloads generate misses, evictions and MSHR
-/// pressure instead of fitting in cache (mirrors replay_differential_test).
+/// pressure instead of fitting in cache.
 SimConfig small_machine() {
   SimConfig config;
   config.l1 = CacheGeometry(4 * 1024, 4, 64);
@@ -39,90 +39,66 @@ SimConfig small_machine() {
   return config;
 }
 
-/// The materialized reference cell: helper trace generated up front, both
-/// cores buffer-indexed.
-SimResult run_materialized(const SimConfig& base, const TraceBuffer& trace,
-                           const SpParams& params, bool batched) {
-  SimConfig config = base;
-  config.streaming_cores = false;
-  config.batched_replay = batched;
-  const TraceBuffer helper = make_helper_trace(trace, params);
+RoundSync sync_of(const SpParams& params) {
+  return RoundSync{.leader = 0, .round_iters = params.round()};
+}
+
+/// The reference cell: helper trace materialized up front.
+SimResult run_materialized(const SimConfig& config, const TraceBuffer& trace,
+                           const SpParams& params,
+                           const HelperGenOptions& options = {}) {
+  const TraceBuffer helper = make_helper_trace(trace, params, options);
   CmpSimulator sim(config);
   return sim.run(
       {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand,
                   .sync = std::nullopt},
        CoreStream{.trace = &helper, .origin = FillOrigin::kHelper,
-                  .sync = RoundSync{.leader = 0,
-                                    .round_iters = params.round()}}});
+                  .sync = sync_of(params)}});
 }
 
 /// The fused cell: helper records synthesized through a HelperViewCursor
-/// window during replay, main core fed through the same streaming engine.
+/// window during replay.
 template <std::size_t WindowN>
-SimResult run_fused(const SimConfig& base, const TraceBuffer& trace,
-                    const SpParams& params, bool batched) {
-  SimConfig config = base;
-  config.streaming_cores = true;
-  config.batched_replay = batched;
+SimResult run_fused(const SimConfig& config, const TraceBuffer& trace,
+                    const SpParams& params,
+                    const HelperGenOptions& options = {}) {
   CursorWindowSource<HelperViewCursor, WindowN> feed(
-      HelperViewCursor(trace, params));
+      HelperViewCursor(trace, params, options));
   CmpSimulator sim(config);
   const SimResult result = sim.run(
       {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand,
                   .sync = std::nullopt},
        CoreStream{.source = &feed, .origin = FillOrigin::kHelper,
-                  .sync = RoundSync{.leader = 0,
-                                    .round_iters = params.round()}}});
+                  .sync = sync_of(params)}});
   // The window source must have served exactly the materialized stream's
-  // record count — feed_consume's refill invariant ends the stream only when
+  // record count — the refill-on-consume invariant ends the stream only when
   // the cursor is exhausted.
-  EXPECT_EQ(feed.records_served(), make_helper_trace(trace, params).size());
+  EXPECT_EQ(feed.records_served(),
+            make_helper_trace(trace, params, options).size());
   return result;
 }
 
-void pin_all_feed_variants(const TraceBuffer& trace, const SpParams& params,
-                           const SimConfig& base) {
-  const SimResult reference = run_materialized(base, trace, params, true);
-
-  {
-    SCOPED_TRACE("fused batched");
-    expect_same_result(reference, run_fused<4096>(base, trace, params, true));
-  }
-  {
-    SCOPED_TRACE("fused record-at-a-time");
-    expect_same_result(reference, run_fused<4096>(base, trace, params, false));
-  }
-  {
-    SCOPED_TRACE("materialized record-at-a-time");
-    expect_same_result(reference, run_materialized(base, trace, params, false));
-  }
+void pin_all_windows(const TraceBuffer& trace, const SpParams& params,
+                     const SimConfig& config) {
+  const SimResult reference = run_materialized(config, trace, params);
   {
     // One-record windows put a refill behind every consume, so the pending
     // peek crosses a window boundary at every step.
-    SCOPED_TRACE("fused single-record window");
-    expect_same_result(reference, run_fused<1>(base, trace, params, true));
+    SCOPED_TRACE("single-record window");
+    expect_same_result(reference, run_fused<1>(config, trace, params));
   }
   {
     // A window size coprime to the round structure lands refills mid-round.
-    SCOPED_TRACE("fused tiny window");
-    expect_same_result(reference, run_fused<7>(base, trace, params, true));
+    SCOPED_TRACE("7-record window");
+    expect_same_result(reference, run_fused<7>(config, trace, params));
   }
-
-  // Materialized traces under the streaming engine (BufferCursor windows):
-  // the remaining feed × storage combination.
   {
-    SCOPED_TRACE("buffer streams through streaming engine");
-    SimConfig config = base;
-    config.streaming_cores = true;
-    const TraceBuffer helper = make_helper_trace(trace, params);
-    CmpSimulator sim(config);
-    const SimResult streamed = sim.run(
-        {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand,
-                    .sync = std::nullopt},
-         CoreStream{.trace = &helper, .origin = FillOrigin::kHelper,
-                    .sync = RoundSync{.leader = 0,
-                                      .round_iters = params.round()}}});
-    expect_same_result(reference, streamed);
+    SCOPED_TRACE("128-record window");
+    expect_same_result(reference, run_fused<128>(config, trace, params));
+  }
+  {
+    SCOPED_TRACE("4096-record window (production)");
+    expect_same_result(reference, run_fused<4096>(config, trace, params));
   }
 }
 
@@ -132,8 +108,7 @@ TEST(SimStreamDifferentialTest, Em3dAllFeedVariantsAgree) {
   wl.arity = 16;
   wl.passes = 1;
   const TraceBuffer trace = Em3dWorkload(wl).emit_trace();
-  pin_all_feed_variants(trace, SpParams::from_distance_rp(8, 0.5),
-                        small_machine());
+  pin_all_windows(trace, SpParams::from_distance_rp(8, 0.5), small_machine());
 }
 
 TEST(SimStreamDifferentialTest, McfAllFeedVariantsAgree) {
@@ -142,8 +117,7 @@ TEST(SimStreamDifferentialTest, McfAllFeedVariantsAgree) {
   wl.arcs = 7000;
   wl.passes = 1;
   const TraceBuffer trace = McfWorkload(wl).emit_trace();
-  pin_all_feed_variants(trace, SpParams::from_distance_rp(4, 1.0),
-                        small_machine());
+  pin_all_windows(trace, SpParams::from_distance_rp(4, 1.0), small_machine());
 }
 
 TEST(SimStreamDifferentialTest, MstAllFeedVariantsAgree) {
@@ -152,8 +126,7 @@ TEST(SimStreamDifferentialTest, MstAllFeedVariantsAgree) {
   wl.degree = 8;
   wl.buckets = 32;
   const TraceBuffer trace = MstWorkload(wl).emit_trace();
-  pin_all_feed_variants(trace, SpParams::from_distance_rp(6, 0.5),
-                        small_machine());
+  pin_all_windows(trace, SpParams::from_distance_rp(6, 0.5), small_machine());
 }
 
 TEST(SimStreamDifferentialTest, OccupancySamplingAgreesAcrossFeeds) {
@@ -164,17 +137,17 @@ TEST(SimStreamDifferentialTest, OccupancySamplingAgreesAcrossFeeds) {
   const TraceBuffer trace = Em3dWorkload(wl).emit_trace();
   const SpParams params = SpParams::from_distance_rp(8, 0.5);
   SimConfig config = small_machine();
-  // Small interval: sample points land mid-window, so the streaming feed must
+  // Small interval: sample points land mid-window, so the cursor feed must
   // honor them at the same records the buffer feed does.
   config.occupancy_sample_interval = 512;
-  expect_same_result(run_materialized(config, trace, params, true),
-                     run_fused<64>(config, trace, params, true));
+  expect_same_result(run_materialized(config, trace, params),
+                     run_fused<64>(config, trace, params));
 }
 
-// The ExperimentContext seam: run_sp_once's fused path (helper_feed_) against
-// its materialized reference path, pinned at the SpRunSummary level — the
-// same numbers sweep cells and perf_smoke's replay_checksum are built from —
-// plus the fused path's zero-allocation contract.
+// The ExperimentContext seam: run_sp_once (fused helper feed) against a
+// materialized helper buffer through the same engine, pinned at the
+// SpRunSummary level — the same numbers sweep cells and perf_smoke's
+// replay_checksum are built from — plus its zero-allocation contract.
 TEST(SimStreamDifferentialTest, ExperimentContextPathsAgree) {
   Em3dConfig wl;
   wl.nodes = 3000;
@@ -182,23 +155,21 @@ TEST(SimStreamDifferentialTest, ExperimentContextPathsAgree) {
   wl.passes = 1;
   const TraceBuffer trace = Em3dWorkload(wl).emit_trace();
 
-  SpExperimentConfig fused_cfg;  // streaming_cores defaults on
-  fused_cfg.sim = small_machine();
-  fused_cfg.params = SpParams::from_distance_rp(8, 0.5);
-  SpExperimentConfig mat_cfg = fused_cfg;
-  mat_cfg.sim.streaming_cores = false;
+  SpExperimentConfig cfg;
+  cfg.sim = small_machine();
+  cfg.params = SpParams::from_distance_rp(8, 0.5);
 
   ExperimentContext ctx;
-  // Warm-up pass: the materialized path's helper scratch reaches capacity, so
-  // the timed-path contract below (zero record allocations while fused) is
-  // not confounded by reference-path growth.
-  const SpRunSummary warm = ctx.run_sp_once(trace, mat_cfg);
+  // Warm-up pass: the context's storage reaches its steady state, so the
+  // contract below measures replay, not first-use growth.
+  const SpRunSummary warm = ctx.run_sp_once(trace, cfg);
 
   const std::uint64_t allocs_before = trace_hooks::record_allocations();
-  const SpRunSummary fused = ctx.run_sp_once(trace, fused_cfg);
+  const SpRunSummary fused = ctx.run_sp_once(trace, cfg);
   EXPECT_EQ(trace_hooks::record_allocations() - allocs_before, 0u)
       << "fused replay must not grow trace-record storage";
-  const SpRunSummary mat = ctx.run_sp_once(trace, mat_cfg);
+  const SpRunSummary mat =
+      SpRunSummary::from(run_materialized(cfg.sim, trace, cfg.params));
 
   EXPECT_EQ(warm.runtime, fused.runtime);
   EXPECT_EQ(fused.runtime, mat.runtime);
@@ -222,29 +193,9 @@ TEST(SimStreamDifferentialTest, PrefetchInstructionHelperAgrees) {
   const TraceBuffer trace = Em3dWorkload(wl).emit_trace();
   const SpParams params = SpParams::from_distance_rp(4, 0.5);
   const HelperGenOptions options{.use_prefetch_instructions = true};
-
-  SimConfig config = small_machine();
-  config.streaming_cores = false;
-  const TraceBuffer helper = make_helper_trace(trace, params, options);
-  CmpSimulator mat_sim(config);
-  const SimResult reference = mat_sim.run(
-      {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand,
-                  .sync = std::nullopt},
-       CoreStream{.trace = &helper, .origin = FillOrigin::kHelper,
-                  .sync = RoundSync{.leader = 0,
-                                    .round_iters = params.round()}}});
-
-  config.streaming_cores = true;
-  CursorWindowSource<HelperViewCursor, 128> feed(
-      HelperViewCursor(trace, params, options));
-  CmpSimulator fused_sim(config);
-  const SimResult fused = fused_sim.run(
-      {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand,
-                  .sync = std::nullopt},
-       CoreStream{.source = &feed, .origin = FillOrigin::kHelper,
-                  .sync = RoundSync{.leader = 0,
-                                    .round_iters = params.round()}}});
-  expect_same_result(reference, fused);
+  expect_same_result(
+      run_materialized(small_machine(), trace, params, options),
+      run_fused<128>(small_machine(), trace, params, options));
 }
 
 }  // namespace

@@ -401,5 +401,15 @@ TEST(SimulatorDeathTest, SyncLeaderMustBeAnotherCore) {
   EXPECT_DEATH(sim.run(streams), "leader");
 }
 
+// The scheduler tracks gated cores' leaders in a 64-bit mask, so a 65th
+// stream is a precondition failure — never a silent change of engine.
+TEST(SimulatorDeathTest, MoreThan64StreamsFailsTheResetAssert) {
+  TraceBuffer t;
+  t.emit(line_addr(1), 0, AccessKind::kRead, 0);
+  const std::vector<CoreStream> streams(65, CoreStream{.trace = &t});
+  CmpSimulator sim(base_config());
+  EXPECT_DEATH((void)sim.run(streams), "at most 64 streams");
+}
+
 }  // namespace
 }  // namespace spf

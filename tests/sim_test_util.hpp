@@ -1,7 +1,7 @@
 // Shared helpers for the simulator differential suites: full-field equality
-// over SimResult, used to pin engine variants (batched vs record-at-a-time in
-// replay_differential_test.cpp, cursor-fed vs materialized feeds in
-// sim_stream_differential_test.cpp) bit-identical to each other.
+// over SimResult, used to hold the engine to the executable spec
+// (spec_sim_differential_test.cpp) and cursor-fed helper streams to their
+// materialized buffers (sim_stream_differential_test.cpp).
 #pragma once
 
 #include <gtest/gtest.h>

@@ -1,0 +1,263 @@
+// Differential test of the replay engine against the executable spec
+// (tests/spec_sim.hpp): every SimResult field test::expect_same_result
+// compares must be identical between CmpSimulator and the spec simulator,
+// which shares none of the engine's scheduling, cache, MSHR or pollution
+// code. Fixed cases replay seeded random IR traces (single stream, main +
+// helper, occupancy sampling) and a structured EM3D workload; the fuzz
+// suite draws, per seed, 1–3 streams with and without RoundSync, L2
+// associativity 1–16, MSHR depth 1–16, small and default shadow capacity,
+// hardware prefetch and occupancy sampling on and off, and equal compute
+// gaps that make scheduler ties common. Dedicated ctest entries replay the
+// binary under SPF_FORCE_SCALAR_TAGS=1 and, in -DSPF_SANITIZE=undefined
+// builds, under UBSan.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "ir_fuzz_util.hpp"
+#include "sim_test_util.hpp"
+#include "spec_sim.hpp"
+#include "spf/common/rng.hpp"
+#include "spf/core/helper_gen.hpp"
+#include "spf/core/sp_params.hpp"
+#include "spf/ir/interp.hpp"
+#include "spf/sim/simulator.hpp"
+#include "spf/workloads/em3d.hpp"
+
+namespace spf {
+namespace {
+
+/// Runs `streams` through the engine and the spec, requires identical
+/// results, and returns the engine's.
+SimResult expect_engine_matches_spec(const SimConfig& config,
+                                     const std::vector<CoreStream>& streams) {
+  const SimResult actual = CmpSimulator(config).run(streams);
+  test::expect_same_result(actual, spec::SpecSimulator(config).run(streams));
+  return actual;
+}
+
+/// Small shared L2 so random traces actually generate misses, evictions and
+/// MSHR pressure instead of fitting in cache.
+SimConfig small_machine() {
+  SimConfig config;
+  config.l1 = CacheGeometry(4 * 1024, 4, 64);
+  config.l2 = CacheGeometry(64 * 1024, 8, 64);
+  config.l2_mshrs = 8;
+  return config;
+}
+
+CoreStream main_stream(const TraceBuffer& trace) {
+  return {.trace = &trace, .origin = FillOrigin::kDemand, .sync = std::nullopt};
+}
+
+CoreStream helper_stream(const TraceBuffer& helper, const SpParams& params) {
+  return {.trace = &helper,
+          .origin = FillOrigin::kHelper,
+          .sync = RoundSync{.leader = 0, .round_iters = params.round()}};
+}
+
+class ReplayDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(ReplayDifferentialTest, RandomTraceMainPlusHelper) {
+  ir::VirtualMemory vm;
+  const ir::InterpResult interp =
+      ir::interpret(ir::random_program(GetParam(), vm), vm);
+  if (interp.trace.size() == 0) GTEST_SKIP() << "degenerate program";
+
+  const SpParams params{.a_ski = 2, .a_pre = 3};
+  const TraceBuffer helper = make_helper_trace(interp.trace, params);
+  expect_engine_matches_spec(
+      small_machine(),
+      {main_stream(interp.trace), helper_stream(helper, params)});
+}
+
+TEST_P(ReplayDifferentialTest, RandomTraceSingleStream) {
+  ir::VirtualMemory vm;
+  const ir::InterpResult interp =
+      ir::interpret(ir::random_program(GetParam(), vm), vm);
+  if (interp.trace.size() == 0) GTEST_SKIP() << "degenerate program";
+
+  expect_engine_matches_spec(small_machine(), {main_stream(interp.trace)});
+}
+
+TEST_P(ReplayDifferentialTest, RandomTraceWithOccupancySampling) {
+  ir::VirtualMemory vm;
+  const ir::InterpResult interp =
+      ir::interpret(ir::random_program(GetParam(), vm), vm);
+  if (interp.trace.size() == 0) GTEST_SKIP() << "degenerate program";
+
+  const SpParams params{.a_ski = 1, .a_pre = 4};
+  const TraceBuffer helper = make_helper_trace(interp.trace, params);
+  SimConfig config = small_machine();
+  // Deliberately small interval: samples land mid-batch, so the engine must
+  // honor sample points record-by-record.
+  config.occupancy_sample_interval = 512;
+  expect_engine_matches_spec(
+      config, {main_stream(interp.trace), helper_stream(helper, params)});
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReplayDifferentialTest,
+                         ::testing::Range<std::uint64_t>(1, 17));
+
+TEST(ReplayDifferentialEm3dTest, StructuredWorkloadAgrees) {
+  Em3dConfig wl;
+  wl.nodes = 3000;
+  wl.arity = 16;
+  wl.passes = 1;
+  const TraceBuffer trace = Em3dWorkload(wl).emit_trace();
+  const SpParams params = SpParams::from_distance_rp(8, 0.5);
+  const TraceBuffer helper = make_helper_trace(trace, params);
+
+  SimConfig config = small_machine();
+  config.occupancy_sample_interval = 4096;
+  expect_engine_matches_spec(
+      config, {main_stream(trace), helper_stream(helper, params)});
+}
+
+TEST(ReplayDifferentialEm3dTest, NoHwPrefetchAgrees) {
+  Em3dConfig wl;
+  wl.nodes = 2000;
+  wl.arity = 8;
+  wl.passes = 1;
+  const TraceBuffer trace = Em3dWorkload(wl).emit_trace();
+  const SpParams params = SpParams::from_distance_rp(4, 1.0);
+  const TraceBuffer helper = make_helper_trace(trace, params);
+
+  SimConfig config = small_machine();
+  config.hw_prefetch = false;
+  expect_engine_matches_spec(
+      config, {main_stream(trace), helper_stream(helper, params)});
+}
+
+// ---- randomized matrix ----------------------------------------------------
+
+/// One fuzz case: traces, machine and stream set drawn from `seed`. Returns
+/// the engine's result (empty when the program emitted no records).
+SimResult run_fuzz_case(std::uint64_t seed) {
+  SCOPED_TRACE("fuzz seed " + std::to_string(seed));
+  Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ull + 1);
+  ir::VirtualMemory vm;
+  const TraceBuffer program_trace =
+      ir::interpret(ir::random_program(seed, vm), vm).trace;
+  if (program_trace.size() == 0) return {};
+  // Tile the program's iterations over 1–6 shifted copies of its footprint:
+  // a longer run with more distinct lines than the small caches below hold,
+  // so evictions, writebacks and every pollution case actually occur.
+  const std::uint64_t copies = 1 + rng.below(6);
+  const Addr stride = (1 + rng.below(64)) * 4096;
+  std::uint32_t trip = 0;
+  for (const TraceRecord& r : program_trace) {
+    trip = std::max(trip, r.outer_iter + 1);
+  }
+  TraceBuffer trace;
+  for (std::uint64_t k = 0; k < copies; ++k) {
+    for (TraceRecord r : program_trace) {
+      r.addr += k * stride;
+      r.outer_iter += static_cast<std::uint32_t>(k) * trip;
+      trace.mutable_records().push_back(r);
+    }
+  }
+  // Equal compute gaps make next-access ties between cores common, which is
+  // where the lower-id tie-break and the batch limits must agree.
+  const bool flat_gaps = rng.below(2) == 0;
+  const auto gap = static_cast<std::uint16_t>(2 * rng.below(3));
+  if (flat_gaps) {
+    for (TraceRecord& r : trace.mutable_records()) r.compute_gap = gap;
+  }
+
+  SimConfig config;
+  const std::uint32_t ways = 1u << rng.below(5);             // 1..16
+  const std::uint64_t sets = std::uint64_t{4} << rng.below(5);  // 4..64
+  config.l2 = CacheGeometry(sets * ways * 64, ways, 64);
+  // A tiny L1 (2–8 sets, 1–2 ways) sends most accesses on to the L2.
+  const std::uint32_t l1_ways = 1u << rng.below(2);
+  config.l1 = CacheGeometry((std::uint64_t{2} << rng.below(3)) * l1_ways * 64,
+                            l1_ways, 64);
+  config.l2_mshrs = static_cast<std::uint32_t>(1 + rng.below(16));
+  if (rng.below(2) == 0) {
+    config.shadow_capacity = static_cast<std::uint32_t>(1 + rng.below(16));
+  }
+  config.hw_prefetch = rng.below(2) == 0;
+  if (rng.below(2) == 0) config.occupancy_sample_interval = 64 << rng.below(4);
+  // Provenance is an observer: on or off, the compared fields must not move.
+  config.provenance = rng.below(4) == 0;
+
+  const SpParams params{.a_ski = static_cast<std::uint32_t>(rng.below(4)),
+                        .a_pre = static_cast<std::uint32_t>(1 + rng.below(4))};
+  const bool synced = rng.below(4) != 0;
+  const auto helper_of = [&](bool prefetch_instructions) {
+    return make_helper_trace(
+        trace, params,
+        HelperGenOptions{.use_prefetch_instructions = prefetch_instructions,
+                         .helper_compute_gap = flat_gaps ? gap
+                                                         : std::uint16_t{0}});
+  };
+  const std::optional<RoundSync> sync =
+      synced ? std::optional<RoundSync>(
+                   RoundSync{.leader = 0, .round_iters = params.round()})
+             : std::nullopt;
+
+  const std::uint64_t n_streams = 1 + rng.below(3);
+  const TraceBuffer helper = helper_of(rng.below(2) == 0);
+  TraceBuffer third;
+  std::vector<CoreStream> streams = {main_stream(trace)};
+  if (n_streams >= 2) {
+    streams.push_back({.trace = &helper, .origin = FillOrigin::kHelper,
+                       .sync = sync});
+  }
+  if (n_streams == 3) {
+    if (rng.below(2) == 0) {
+      // A co-running demand core on an unrelated program.
+      ir::VirtualMemory vm2;
+      third = ir::interpret(ir::random_program(seed + 1000, vm2), vm2).trace;
+      streams.push_back(main_stream(third));
+    } else {
+      // A second, prefetch-instruction helper of the same main thread.
+      third = helper_of(true);
+      streams.push_back({.trace = &third, .origin = FillOrigin::kHelper,
+                         .sync = sync});
+    }
+  }
+  return expect_engine_matches_spec(config, streams);
+}
+
+class SpecSimFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SpecSimFuzzTest, RandomMatrixAgrees) { run_fuzz_case(GetParam()); }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SpecSimFuzzTest,
+                         ::testing::Range<std::uint64_t>(1, 65));
+
+// The matrix is only an oracle for the paths it reaches: across the seeds,
+// every classification, merge, writeback, pollution case and gate must fire.
+TEST(SpecSimFuzzCoverage, MatrixReachesEverySemanticPath) {
+  std::uint64_t partially_hits = 0, demand_merges = 0, writebacks = 0,
+                case1 = 0, case2 = 0, case3 = 0, samples = 0, dropped = 0;
+  for (std::uint64_t seed = 1; seed < 65; ++seed) {
+    const SimResult r = run_fuzz_case(seed);
+    for (const ThreadMetrics& m : r.per_core) {
+      partially_hits += m.partially_hits;
+      dropped += m.prefetches_dropped;
+    }
+    demand_merges += r.mshr.demand_merges_into_prefetch;
+    writebacks += r.memory.writebacks;
+    case1 += r.pollution.case1_reuse_displaced;
+    case2 += r.pollution.case2_helper_displaced;
+    case3 += r.pollution.case3_hw_displaced;
+    samples += r.occupancy.samples.size();
+  }
+  EXPECT_GT(partially_hits, 0u);
+  EXPECT_GT(demand_merges, 0u);
+  EXPECT_GT(writebacks, 0u);
+  EXPECT_GT(case1, 0u);
+  EXPECT_GT(case2, 0u);
+  EXPECT_GT(case3, 0u);
+  EXPECT_GT(samples, 0u);
+  EXPECT_GT(dropped, 0u);
+}
+
+}  // namespace
+}  // namespace spf

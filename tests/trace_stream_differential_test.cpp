@@ -1,9 +1,9 @@
 // Differential harness for the streaming trace pipeline: the distance-bound
-// refinement must produce bit-identical results whether the combined
-// main+helper stream is materialized (make_helper_trace + re-anchor pass +
-// merge_traces_by_iter, the reference implementation selected by
-// DistanceBoundOptions{.streaming_refine = false}) or streamed lazily through
-// TraceCursor adaptors (HelperViewCursor + MergeByIterCursor, the default).
+// refinement, which streams the combined main+helper stream lazily through
+// TraceCursor adaptors (HelperViewCursor + MergeByIterCursor), must produce
+// bit-identical results to a reference the test materializes itself
+// (make_helper_trace + A_SKI re-anchor pass + merge_traces_by_iter + the
+// buffer analysis).
 //
 // Seeded random IR traces come from the shared program generator; a
 // structured multi-invocation EM3D workload covers the per-invocation SA
@@ -15,6 +15,7 @@
 // (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -49,6 +50,33 @@ void expect_same_bound(const DistanceBound& materialized,
   EXPECT_EQ(materialized.upper_limit, streaming.upper_limit);
 }
 
+/// The combined main+helper reference stream, materialized: the helper's
+/// records re-anchored by A_SKI, merged into the main stream by outer_iter.
+TraceBuffer combined_reference(const TraceBuffer& trace,
+                               const SpParams& params) {
+  TraceBuffer helper = make_helper_trace(trace, params);
+  for (TraceRecord& r : helper.mutable_records()) {
+    r.outer_iter = r.outer_iter >= params.a_ski ? r.outer_iter - params.a_ski : 0;
+  }
+  return merge_traces_by_iter(trace, helper);
+}
+
+/// refine_with_helper's contract over the materialized combined stream.
+DistanceBound refine_reference(const DistanceBound& base,
+                               const TraceBuffer& trace,
+                               const std::vector<std::uint32_t>& starts,
+                               const SpParams& params, const CacheGeometry& l2) {
+  const WorkloadSaResult sa =
+      analyze_workload_sa(combined_reference(trace, params), starts, l2);
+  DistanceBound refined = base;
+  if (sa.merged.any_saturated()) {
+    refined.with_helper_min_sa = sa.merged.min_sa();
+    refined.upper_limit = std::max<std::uint32_t>(
+        1, std::min(*refined.with_helper_min_sa, base.original_min_sa / 2));
+  }
+  return refined;
+}
+
 /// Builds the combined main+helper stream both ways and compares the full
 /// Set-Affinity analysis and the refined bound.
 void compare_paths(const TraceBuffer& trace,
@@ -56,14 +84,8 @@ void compare_paths(const TraceBuffer& trace,
                    const SpParams& params, const CacheGeometry& l2) {
   SCOPED_TRACE(params.to_string());
 
-  // Reference: materialize exactly as the pre-cursor refinement did.
-  TraceBuffer helper = make_helper_trace(trace, params);
-  for (TraceRecord& r : helper.mutable_records()) {
-    r.outer_iter = r.outer_iter >= params.a_ski ? r.outer_iter - params.a_ski : 0;
-  }
-  const TraceBuffer combined = merge_traces_by_iter(trace, helper);
-  const WorkloadSaResult sa_materialized =
-      analyze_workload_sa(combined, invocation_starts, l2);
+  const WorkloadSaResult sa_materialized = analyze_workload_sa(
+      combined_reference(trace, params), invocation_starts, l2);
 
   // Streaming: the same stream as lazy cursor composition.
   MergeByIterCursor cursor(
@@ -73,18 +95,14 @@ void compare_paths(const TraceBuffer& trace,
       analyze_workload_sa(cursor, invocation_starts, l2);
   expect_same_sa(sa_materialized, sa_streaming);
 
-  // End to end through refine_with_helper under both flag settings. The base
-  // bound is arbitrary: refinement must treat it identically either way.
+  // End to end through refine_with_helper. The base bound is arbitrary:
+  // refinement must treat it identically either way.
   DistanceBound base;
   base.original_min_sa = 64;
   base.upper_limit = 32;
-  const DistanceBound refined_materialized =
-      refine_with_helper(base, trace, invocation_starts, params, l2,
-                         DistanceBoundOptions{.streaming_refine = false});
-  const DistanceBound refined_streaming =
-      refine_with_helper(base, trace, invocation_starts, params, l2,
-                         DistanceBoundOptions{.streaming_refine = true});
-  expect_same_bound(refined_materialized, refined_streaming);
+  expect_same_bound(
+      refine_reference(base, trace, invocation_starts, params, l2),
+      refine_with_helper(base, trace, invocation_starts, params, l2));
 }
 
 std::vector<SpParams> params_grid() {
@@ -129,13 +147,8 @@ TEST(TraceStreamEm3dTest, MultiInvocationWorkloadAgrees) {
   for (const SpParams& params : params_grid()) {
     compare_paths(trace, starts, params, l2);
 
-    const DistanceBound a =
-        refine_with_helper(base, trace, starts, params, l2,
-                           DistanceBoundOptions{.streaming_refine = false});
-    const DistanceBound b =
-        refine_with_helper(base, trace, starts, params, l2,
-                           DistanceBoundOptions{.streaming_refine = true});
-    expect_same_bound(a, b);
+    expect_same_bound(refine_reference(base, trace, starts, params, l2),
+                      refine_with_helper(base, trace, starts, params, l2));
   }
 }
 
@@ -155,15 +168,13 @@ TEST(TraceStreamAllocationTest, StreamingRefineAllocatesNoTraceRecords) {
   // Positive control: the materializing reference grows trace storage.
   const std::uint64_t before_ref = trace_hooks::record_allocations();
   const DistanceBound refined_ref =
-      refine_with_helper(base, trace, starts, params, l2,
-                         DistanceBoundOptions{.streaming_refine = false});
+      refine_reference(base, trace, starts, params, l2);
   EXPECT_GT(trace_hooks::record_allocations(), before_ref);
 
   // The streaming path must not touch TraceRecord storage at all.
   const std::uint64_t before = trace_hooks::record_allocations();
   const DistanceBound refined =
-      refine_with_helper(base, trace, starts, params, l2,
-                         DistanceBoundOptions{.streaming_refine = true});
+      refine_with_helper(base, trace, starts, params, l2);
   EXPECT_EQ(trace_hooks::record_allocations(), before)
       << "cursor-based refinement allocated trace-record storage";
   expect_same_bound(refined_ref, refined);
