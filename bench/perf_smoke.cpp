@@ -17,17 +17,22 @@
 //                  through a shared ExperimentContextPool whose trace-memo
 //                  hit rate is reported alongside;
 //   telemetry    — the same grid replayed memo-warm with the spf::telemetry
-//                  session uninstalled vs installed, interleaved per rep; the
-//                  overhead is the *median of per-rep on/off ratios* (clamped
-//                  at 0 — a negative overhead is measurement noise, not a
-//                  speedup), so one scheduling hiccup on either side can't
-//                  push the reported number negative or blow it up, and all
-//                  sweeps' artifacts are cross-checked identical;
+//                  session uninstalled vs installed, interleaved per rep and
+//                  timed in process CPU time; the overhead is the *median of
+//                  per-rep on/off ratios* (clamped at 0 — a negative overhead
+//                  is measurement noise, not a speedup), so one scheduling
+//                  hiccup on either side can't push the reported number
+//                  negative or blow it up, and all sweeps' artifacts are
+//                  cross-checked identical;
 //   provenance   — the same grid replayed memo-warm with
 //                  SimConfig::provenance off vs on (interleaved per rep,
-//                  median-of-ratios, clamped at 0); lifecycle tracking is an
-//                  observer, so both sides' tables are cross-checked
-//                  byte-identical to the baseline sweep's.
+//                  process CPU time, median-of-ratios, clamped at 0);
+//                  lifecycle tracking is an observer, so both sides' tables
+//                  are cross-checked byte-identical to the baseline sweep's.
+//
+// Both A/Bs also report the min/median/max of their per-rep on/off ratios
+// (telemetry_ratio_*, provenance_ratio_*), so a reader can tell an overhead
+// from the spread the host's noise puts around it.
 //
 // Flags: --quick (CI smoke: small inputs, one reps), --out=PATH (default
 // BENCH_perf.json; "-" or "" = skip the artifact), --reps=N,
@@ -35,6 +40,7 @@
 // bench_common knobs (--l2/--assoc/--line/--threads/--scale/--csv).
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -53,6 +59,37 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// CPU seconds consumed by the whole process (every sweep worker thread).
+/// The overhead A/Bs compare work, which host scheduling jitter moves far
+/// less than it moves wall-clock time.
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Spread of the per-rep on/off ratios of an overhead A/B (all zero when no
+/// rep produced a ratio).
+struct RatioSpread {
+  double min = 0.0;
+  double median = 0.0;
+  double max = 0.0;
+
+  /// The reported overhead: the median ratio's excess over 1, clamped at 0.
+  [[nodiscard]] double overhead_pct() const {
+    return std::max(0.0, 100.0 * (median - 1.0));
+  }
+};
+
+RatioSpread spread_of(std::vector<double> ratios) {
+  if (ratios.empty()) return {};
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t n = ratios.size();
+  const double median = n % 2 == 1 ? ratios[n / 2]
+                                   : 0.5 * (ratios[n / 2 - 1] + ratios[n / 2]);
+  return {.min = ratios.front(), .median = median, .max = ratios.back()};
 }
 
 }  // namespace
@@ -234,13 +271,13 @@ int main(int argc, char** argv) {
   onoff_ratios.reserve(reps);
   for (unsigned r = 0; r < reps; ++r) {
     telemetry::Session* prev = telemetry::install(nullptr);
-    auto t_off = Clock::now();
+    const double t_off = process_cpu_seconds();
     const orchestrate::SweepResult off = orchestrate::run_sweep(spec, opts);
-    const double off_sec = seconds_since(t_off);
+    const double off_sec = process_cpu_seconds() - t_off;
     telemetry::install(on_session);
-    auto t_on = Clock::now();
+    const double t_on = process_cpu_seconds();
     const orchestrate::SweepResult on = orchestrate::run_sweep(spec, opts);
-    const double on_sec = seconds_since(t_on);
+    const double on_sec = process_cpu_seconds() - t_on;
     telemetry::install(prev);
     if (off.failed_count() != 0 || on.failed_count() != 0) {
       std::cerr << "perf_smoke: telemetry A/B sweep cells failed\n";
@@ -255,15 +292,7 @@ int main(int argc, char** argv) {
     if (r == 0 || off_sec < sweep_off_sec) sweep_off_sec = off_sec;
     if (r == 0 || on_sec < sweep_on_sec) sweep_on_sec = on_sec;
   }
-  double telemetry_overhead_pct = 0.0;
-  if (!onoff_ratios.empty()) {
-    std::sort(onoff_ratios.begin(), onoff_ratios.end());
-    const std::size_t n = onoff_ratios.size();
-    const double median = n % 2 == 1
-                              ? onoff_ratios[n / 2]
-                              : 0.5 * (onoff_ratios[n / 2 - 1] + onoff_ratios[n / 2]);
-    telemetry_overhead_pct = std::max(0.0, 100.0 * (median - 1.0));
-  }
+  const RatioSpread telemetry_ratios = spread_of(onoff_ratios);
 
   // ---- provenance overhead: the same grid, memo-warm, off vs on ----------
   // Same protocol as the telemetry A/B: interleaved per rep, median of
@@ -280,12 +309,12 @@ int main(int argc, char** argv) {
   std::vector<double> prov_ratios;
   prov_ratios.reserve(reps);
   for (unsigned r = 0; r < reps; ++r) {
-    auto t_off = Clock::now();
+    const double t_off = process_cpu_seconds();
     const orchestrate::SweepResult off = orchestrate::run_sweep(spec, opts);
-    const double off_sec = seconds_since(t_off);
-    auto t_on = Clock::now();
+    const double off_sec = process_cpu_seconds() - t_off;
+    const double t_on = process_cpu_seconds();
     const orchestrate::SweepResult on = orchestrate::run_sweep(prov_spec, opts);
-    const double on_sec = seconds_since(t_on);
+    const double on_sec = process_cpu_seconds() - t_on;
     if (off.failed_count() != 0 || on.failed_count() != 0) {
       std::cerr << "perf_smoke: provenance A/B sweep cells failed\n";
       return 1;
@@ -301,15 +330,7 @@ int main(int argc, char** argv) {
     std::cerr << "perf_smoke: sweep artifact changed under provenance\n";
     return 1;
   }
-  double provenance_overhead_pct = 0.0;
-  if (!prov_ratios.empty()) {
-    std::sort(prov_ratios.begin(), prov_ratios.end());
-    const std::size_t n = prov_ratios.size();
-    const double median =
-        n % 2 == 1 ? prov_ratios[n / 2]
-                   : 0.5 * (prov_ratios[n / 2 - 1] + prov_ratios[n / 2]);
-    provenance_overhead_pct = std::max(0.0, 100.0 * (median - 1.0));
-  }
+  const RatioSpread provenance_ratios = spread_of(prov_ratios);
 
   const double materialize_ops_s =
       materialize_sec > 0 ? static_cast<double>(ir_ops) / materialize_sec : 0;
@@ -353,11 +374,17 @@ int main(int argc, char** argv) {
       .add("sweep_trace_memo_hit_rate", memo.hit_rate())
       .add("sweep_telemetry_off_sec", sweep_off_sec)
       .add("sweep_telemetry_on_sec", sweep_on_sec)
-      .add("telemetry_overhead_pct", telemetry_overhead_pct)
+      .add("telemetry_overhead_pct", telemetry_ratios.overhead_pct())
+      .add("telemetry_ratio_min", telemetry_ratios.min)
+      .add("telemetry_ratio_median", telemetry_ratios.median)
+      .add("telemetry_ratio_max", telemetry_ratios.max)
       .add("telemetry_compiled", SPF_TELEMETRY != 0)
       .add("sweep_provenance_off_sec", sweep_prov_off_sec)
       .add("sweep_provenance_on_sec", sweep_prov_on_sec)
-      .add("provenance_overhead_pct", provenance_overhead_pct)
+      .add("provenance_overhead_pct", provenance_ratios.overhead_pct())
+      .add("provenance_ratio_min", provenance_ratios.min)
+      .add("provenance_ratio_median", provenance_ratios.median)
+      .add("provenance_ratio_max", provenance_ratios.max)
       .add("provenance_tables_identical", prov_tables_identical)
       .add("replay_checksum", replay_checksum)
       .add("refine_checksum", refine_checksum);

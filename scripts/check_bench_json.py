@@ -71,6 +71,10 @@ checks, per file:
     SimConfig::provenance toggled) is >= 0 and < 25 — the documented
     contract is < 5 %, and the off/on sweeps must additionally have
     produced byte-identical tables (`provenance_tables_identical`);
+  * each A/B's per-rep on/off ratio spread (`telemetry_ratio_*`,
+    `provenance_ratio_*`, from process CPU time) is ordered
+    0 < min <= median <= max, and its overhead_pct is the clamped excess
+    of the median over 1;
   * the trace memo hit rate is a valid probability;
   * `replay_checksum` and `refine_checksum` are present and non-zero,
     so the runs that produced the timings actually simulated work.
@@ -120,10 +124,16 @@ REQUIRED = {
     "sweep_telemetry_off_sec": NUMBER,
     "sweep_telemetry_on_sec": NUMBER,
     "telemetry_overhead_pct": NUMBER,
+    "telemetry_ratio_min": NUMBER,
+    "telemetry_ratio_median": NUMBER,
+    "telemetry_ratio_max": NUMBER,
     "telemetry_compiled": bool,
     "sweep_provenance_off_sec": NUMBER,
     "sweep_provenance_on_sec": NUMBER,
     "provenance_overhead_pct": NUMBER,
+    "provenance_ratio_min": NUMBER,
+    "provenance_ratio_median": NUMBER,
+    "provenance_ratio_max": NUMBER,
     "provenance_tables_identical": bool,
     "replay_checksum": int,
     "refine_checksum": int,
@@ -257,6 +267,23 @@ def check_file(path):
             "provenance-on sweep produced a different table than the "
             "provenance-off sweep — the observer must not perturb metrics",
         )
+
+    for ab in ("telemetry", "provenance"):
+        lo, mid, hi = (doc[f"{ab}_ratio_{q}"] for q in ("min", "median", "max"))
+        if not 0 < lo <= mid <= hi:
+            ok = fail(
+                path,
+                f"{ab}_ratio min/median/max = {lo}/{mid}/{hi} — expected "
+                "0 < min <= median <= max",
+            )
+        expected_pct = max(0.0, 100.0 * (mid - 1.0))
+        if not math.isclose(doc[f"{ab}_overhead_pct"], expected_pct,
+                            rel_tol=1e-9, abs_tol=1e-9):
+            ok = fail(
+                path,
+                f"{ab}_overhead_pct = {doc[f'{ab}_overhead_pct']} does not "
+                f"match its median ratio {mid}",
+            )
 
     rate = doc["sweep_trace_memo_hit_rate"]
     if not 0.0 <= rate <= 1.0:

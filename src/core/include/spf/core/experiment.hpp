@@ -61,7 +61,7 @@ struct SpRunSummary {
   std::uint64_t memory_requests = 0;
   std::uint64_t helper_finish = 0;
   /// Prefetch-lifecycle fate attribution; enabled only when the run's
-  /// SimConfig::provenance was set (spf/sim/provenance.hpp).
+  /// SimConfig::provenance was set (spf/sim/pollution.hpp).
   ProvenanceSummary provenance;
 
   [[nodiscard]] std::uint64_t memory_accesses() const noexcept {

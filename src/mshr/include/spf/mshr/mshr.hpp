@@ -48,6 +48,10 @@ struct MshrStats {
   std::uint64_t allocations = 0;
   std::uint64_t merges = 0;
   std::uint64_t demand_merges_into_prefetch = 0;
+  /// Requests that found the file full: allocate() on a full file, plus
+  /// every count_full_rejection() (the simulator counts one per demand miss
+  /// that waited, per dropped software prefetch and per hardware-prefetch
+  /// batch cut short).
   std::uint64_t full_rejections = 0;
   std::uint64_t peak_occupancy = 0;
 };
@@ -74,6 +78,10 @@ class MshrFile {
   /// a rejection; the caller decides whether to stall or drop).
   const MshrEntry* allocate(LineAddr line, Cycle issue, Cycle fill,
                             FillOrigin origin, CoreId core);
+
+  /// Count a request that found the file full without calling allocate():
+  /// the caller stalls until a slot frees, or drops the request.
+  void count_full_rejection() noexcept { ++stats_.full_rejections; }
 
   /// Merge a secondary request into the outstanding entry for `line`.
   /// `demand_requester` must be true only for accesses by a main computation

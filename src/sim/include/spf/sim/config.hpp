@@ -29,9 +29,10 @@ struct SimConfig {
   /// Capacity of the pollution tracker's eviction shadow table.
   std::uint32_t shadow_capacity = 8192;
   /// Track per-line prefetch-fill provenance (fate attribution, timeliness
-  /// and victim reuse-distance histograms — see spf/sim/provenance.hpp).
-  /// Observation-only: on or off, simulation outcomes are bit-identical; off
-  /// (the default) skips the tracker entirely so hot paths pay one branch.
+  /// and victim reuse-distance histograms — the fate records of
+  /// spf/sim/pollution.hpp's tracker). Observation-only: on or off,
+  /// simulation outcomes are bit-identical; off (the default) allocates no
+  /// fate records, so the fate hooks on hot paths are one branch each.
   bool provenance = false;
   /// Seed for the Random replacement policy (unused by deterministic ones).
   std::uint64_t seed = 0x5eed;

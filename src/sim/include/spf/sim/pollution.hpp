@@ -1,4 +1,8 @@
-// Cache pollution accounting, implementing the paper's three cases (§II.C):
+// The fill-lifecycle tracker: one observer of the shared L2's fills,
+// evictions, first demand uses and demand re-misses, answering two
+// questions from that one event stream.
+//
+// Cache pollution, the paper's three cases (§II.C):
 //
 //   "Cache pollution due to threaded prefetching can happen in several cases:
 //    1. A prematurely prefetched block displaces data in the cache that will
@@ -12,11 +16,32 @@
 // Cases 2 and 3 are decidable at eviction time from the victim's metadata
 // (an unused helper/hardware fill displaced by a prefetch fill). Case 1
 // needs future knowledge — "will be reused" — so evictions of *useful* data
-// by prefetch fills are remembered in a bounded shadow table; a later demand
+// by prefetch fills are remembered in a bounded victim shadow; a later demand
 // miss on a shadowed line confirms the reuse and counts the event.
+//
+// Prefetch fates (SimConfig::provenance only; docs/provenance.md): every
+// helper/hardware prefetch fill is followed from install to one of five
+// fates —
+//
+//   used_timely     a demand access hit the line after its fill.
+//   used_late       the demand miss was already in flight when the prefetch
+//                   fill completed (MSHR-merged): issued too late (§II.B).
+//   evicted_unused  displaced before any demand use.
+//   polluting       the fill displaced a victim whose reuse a later demand
+//                   miss confirmed (case 1, attributed to the displacing fill).
+//   resident_unused still cached, never used, when the summary was taken.
+//
+// — with log2 histograms, in units of demand L2 lookups, of fill→first-use
+// distance and of displacement→re-miss distance. A shadow entry carries the
+// displacement metadata (evict lookup, evictor slot and record generation)
+// itself, so a case-1 confirmation and a victim-reuse count are one event:
+// reuse_confirms == case1_reuse_displaced by construction.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,107 +71,134 @@ struct PollutionStats {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Auxiliary payload a companion observer can attach to a shadow entry. The
-/// table moves it with the entry and hands it back on erase, but never reads
-/// it — the fields mean whatever the attaching tracker says they mean (today:
-/// ProvenanceTracker's displacement metadata; see docs/provenance.md). Riding
-/// on the pollution shadow's hash work keeps the companion's per-eviction
-/// cost at zero extra probes.
-struct ShadowAux {
-  std::uint32_t evict_lookup = 0;
-  std::uint32_t evictor_gen = 0;
-  std::uint32_t evictor_slot = 0;
-};
+/// Per-run provenance results. Plain additive counters plus fixed-size
+/// histograms, so summaries can be merged across adaptive intervals.
+struct ProvenanceSummary {
+  static constexpr std::size_t kHistogramBuckets = 32;
 
-/// Bounded open-addressing map from shadowed line to the origin of the fill
-/// that evicted it. Linear probing with backward-shift deletion (no
-/// tombstones), sized to at most half-full for the tracker's fixed capacity,
-/// so lookups on the per-miss hot path touch one or two contiguous slots
-/// instead of chasing unordered_map buckets. Never iterated — membership and
-/// size are the only observable behaviour, so the probe order cannot leak
-/// into artifacts.
-class ShadowTable {
- public:
-  explicit ShadowTable(std::uint32_t capacity);
+  /// False when the run did not track provenance (SimConfig::provenance off);
+  /// consumers must treat every other field as absent.
+  bool enabled = false;
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Helper/hardware prefetch fills that installed into L2 (demand-merged
+  /// fills included — they classify as used_late at install time).
+  std::uint64_t tracked_fills = 0;
+  std::uint64_t helper_fills = 0;
+  std::uint64_t hardware_fills = 0;
 
-  /// As-if-freshly-constructed with `capacity`, reusing slot storage. Aux
-  /// storage is dropped; re-enable after reset if needed.
-  void reset(std::uint32_t capacity);
+  // The five fates. Invariant: they sum to tracked_fills.
+  std::uint64_t used_timely = 0;
+  std::uint64_t used_late = 0;
+  std::uint64_t evicted_unused = 0;
+  std::uint64_t polluting = 0;
+  std::uint64_t resident_unused = 0;
 
-  /// Allocate the per-slot aux array. Until enabled (the default), aux
-  /// pointers passed to insert/erase are ignored and the table does no extra
-  /// work beyond one predictable branch per operation.
-  void enable_aux();
+  /// Shadow-confirmed victim re-misses (== victim_reuse histogram mass).
+  std::uint64_t reuse_confirms = 0;
+  /// Confirmations that arrived after the displacing fill's own record had
+  /// already resolved (its line was evicted first); counted but no longer
+  /// re-attributable to a live fate.
+  std::uint64_t late_pollution_confirms = 0;
+  /// Sum of fill→first-use distances over used_timely fills (mean = this /
+  /// used_timely).
+  std::uint64_t fill_to_use_total = 0;
+  /// Sets with at least one pollution event (== set_heatmap mass).
+  std::uint64_t polluted_sets = 0;
 
-  /// Insert `line`, overwriting the stored origin if already present. With
-  /// aux enabled and `aux` non-null, the payload is stored alongside.
-  void insert_or_assign(LineAddr line, FillOrigin origin,
-                        const ShadowAux* aux = nullptr);
-  /// Remove `line` if present; returns true when it was. With aux enabled
-  /// and `aux_out` non-null, the entry's payload is copied out first.
-  bool erase(LineAddr line, ShadowAux* aux_out = nullptr);
+  /// log2 histogram of fill→first-use distance, demand L2 lookups.
+  std::array<std::uint64_t, kHistogramBuckets> fill_to_use{};
+  /// log2 histogram of displacement→re-miss distance, demand L2 lookups.
+  std::array<std::uint64_t, kHistogramBuckets> victim_reuse{};
+  /// log2 histogram of per-set pollution event counts (one entry per
+  /// polluted set).
+  std::array<std::uint64_t, kHistogramBuckets> set_heatmap{};
 
- private:
-  struct Slot {
-    LineAddr line = 0;
-    FillOrigin origin = FillOrigin::kDemand;
-    bool occupied = false;
-  };
-
-  [[nodiscard]] std::size_t home_of(LineAddr line) const noexcept {
-    // Fibonacci multiply-shift onto the power-of-two table.
-    return (line * 0x9E3779B97F4A7C15ull) & mask_;
+  /// Sum of the five fate counters; equals tracked_fills by construction.
+  [[nodiscard]] std::uint64_t fate_total() const noexcept {
+    return used_timely + used_late + evicted_unused + polluting +
+           resident_unused;
   }
-  void erase_at(std::size_t hole);
+  [[nodiscard]] double timely_rate() const noexcept {
+    return tracked_fills == 0
+               ? 0.0
+               : static_cast<double>(used_timely) /
+                     static_cast<double>(tracked_fills);
+  }
+  [[nodiscard]] double fill_to_use_mean() const noexcept {
+    return used_timely == 0 ? 0.0
+                            : static_cast<double>(fill_to_use_total) /
+                                  static_cast<double>(used_timely);
+  }
 
-  std::vector<Slot> slots_;
-  std::size_t mask_;
-  std::size_t size_ = 0;
-  /// Slot-parallel payloads; empty (and cost-free) unless enable_aux() ran.
-  std::vector<ShadowAux> aux_;
+  /// Merge `other` into this summary (adaptive cold intervals accumulate
+  /// per-interval summaries). No-op when `other` is disabled.
+  void add(const ProvenanceSummary& other) noexcept;
+
+  /// Bucket index for a demand-lookup distance: 0 for 0, else
+  /// min(bit_width(d), kHistogramBuckets - 1).
+  [[nodiscard]] static std::size_t bucket_of(std::uint64_t distance) noexcept {
+    if (distance == 0) return 0;
+    const auto width = static_cast<std::size_t>(std::bit_width(distance));
+    return width < kHistogramBuckets ? width : kHistogramBuckets - 1;
+  }
 };
 
 class PollutionTracker {
  public:
-  /// `geometry` attributes every pollution event to its cache set, making
-  /// the per-set damage distribution (the spatial counterpart of per-set
-  /// Set Affinity) queryable afterwards.
-  PollutionTracker(std::uint32_t shadow_capacity, const CacheGeometry& geometry);
+  /// `geometry` is the shared L2's: pollution events are attributed to its
+  /// sets, and with `track_fates` one fate record is kept per (set, way)
+  /// slot. Without it the tracker allocates no fate records and every fate
+  /// hook is one predictable branch.
+  PollutionTracker(std::uint32_t shadow_capacity, const CacheGeometry& geometry,
+                   bool track_fates = false);
 
-  /// As-if-freshly-constructed, reusing shadow/per-set storage
+  /// As-if-freshly-constructed, reusing shadow/per-set/record storage
   /// (ExperimentContext reuse seam).
-  void reset(std::uint32_t shadow_capacity, const CacheGeometry& geometry);
+  void reset(std::uint32_t shadow_capacity, const CacheGeometry& geometry,
+             bool track_fates = false);
 
-  /// Let a companion tracker ride the shadow: entries inserted via the
-  /// aux-carrying on_eviction overload keep their payload until the erase
-  /// that removes them hands it back through on_demand_miss.
-  void enable_shadow_aux();
+  [[nodiscard]] bool tracks_fates() const noexcept { return track_fates_; }
 
-  /// Feed every L2 eviction here. The two-argument overload attaches `aux`
-  /// to the shadow entry when the eviction shadows its victim (requires
-  /// enable_shadow_aux()); classification is identical in both.
-  void on_eviction(const Eviction& ev) { on_eviction_impl(ev, nullptr); }
-  void on_eviction(const Eviction& ev, const ShadowAux& aux) {
-    on_eviction_impl(ev, &aux);
+  /// Advance the reuse clock: call once per *demand-core* L2 lookup.
+  void on_demand_lookup() noexcept { ++demand_lookups_; }
+
+  /// An L2 fill drained from the MSHR file. `raw_origin` is the MSHR entry's
+  /// origin before the demand-merge upgrade, `slot` the cache slot the line
+  /// occupies after the fill (Cache::fill's slot_out; read only when fates
+  /// are tracked), and `evicted` what Cache::fill returned. The victim is
+  /// classified (and its fate record retired) before the incoming
+  /// prefetch's record takes over the slot.
+  void on_fill(FillOrigin raw_origin, bool demand_merged, std::uint32_t slot,
+               const std::optional<Eviction>& evicted) {
+    if (evicted) on_eviction(*evicted);
+    if (track_fates_ && raw_origin != FillOrigin::kDemand) {
+      record_fill(slot, raw_origin, demand_merged);
+    }
+  }
+
+  /// First demand use of a prefetch-origin line in cache slot `slot` (from
+  /// Cache::access's first_use_slot report). Later hits on the same fill
+  /// are ignored.
+  void on_first_demand_hit(std::uint32_t slot) {
+    if (track_fates_) mark_used(slot);
   }
 
   /// Feed every *demand* L2 totally-miss here. Returns true when the miss is
   /// attributed to case-1 pollution (the line was recently displaced by a
-  /// prefetch fill); `aux_out` then receives the confirmed entry's payload.
-  bool on_demand_miss(LineAddr line, ShadowAux* aux_out = nullptr);
+  /// prefetch fill); with fates tracked the confirmation also buckets the
+  /// victim's reuse distance and marks the displacing fill polluting.
+  bool on_demand_miss(LineAddr line);
 
   [[nodiscard]] const PollutionStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t shadow_size() const noexcept { return shadow_.size(); }
+  [[nodiscard]] std::size_t shadow_size() const noexcept {
+    return shadow_size_;
+  }
+  [[nodiscard]] std::uint64_t demand_lookups() const noexcept {
+    return demand_lookups_;
+  }
 
   /// Pollution events attributed to `set`.
   [[nodiscard]] std::uint64_t set_pollution(std::uint64_t set) const;
-  /// set -> pollution events, indexed by set number (the provenance
-  /// heatmap snapshots this directly).
-  [[nodiscard]] const std::vector<std::uint64_t>& per_set() const noexcept {
-    return per_set_;
-  }
   /// The n worst-hit sets, ordered by descending event count; equal counts
   /// break ties by ascending set index, so heatmap artifacts are stable
   /// across platforms and standard-library sort implementations.
@@ -155,18 +207,97 @@ class PollutionTracker {
   /// Number of sets with at least one pollution event.
   [[nodiscard]] std::uint64_t polluted_set_count() const;
 
+  /// The fate summary: resolved fates plus a provisional classification of
+  /// still-live fills (resident_unused / used_timely), and the per-set
+  /// pollution heatmap. Disabled (all zero) unless fates are tracked. Const —
+  /// warm adaptive intervals snapshot repeatedly while the run continues.
+  [[nodiscard]] ProvenanceSummary snapshot() const;
+
  private:
+  /// A shadowed victim line and what displaced it: the demand-lookup clock
+  /// at the eviction, and the slot and record generation of the displacing
+  /// prefetch fill (the generation the fill's record is about to receive —
+  /// only non-merged prefetch fills are shadowed, and exactly those get a
+  /// record at the same slot right after their eviction is classified).
+  struct ShadowEntry {
+    LineAddr line = 0;
+    std::uint32_t evict_lookup = 0;
+    std::uint32_t evictor_slot = 0;
+    std::uint32_t evictor_gen = 0;
+    /// Live iff equal to shadow_epoch_ (0 is never current): a reset bumps
+    /// the epoch instead of clearing the table.
+    std::uint32_t epoch = 0;
+  };
+
+  // Fate record state bits, one byte per cache slot.
+  static constexpr std::uint8_t kActive = 1;     // slot holds a live record
+  static constexpr std::uint8_t kUsed = 2;       // first demand use seen
+  static constexpr std::uint8_t kPolluting = 4;  // victim reuse confirmed
+
+  void on_eviction(const Eviction& ev);
   void attribute(LineAddr line);
-  void on_eviction_impl(const Eviction& ev, const ShadowAux* aux);
+  void record_fill(std::uint32_t slot, FillOrigin raw_origin,
+                   bool demand_merged);
+  void mark_used(std::uint32_t slot);
+  /// Classify and retire the live record at `slot`. `evicted` distinguishes
+  /// the evicted_unused fate from the end-of-run resident remainder.
+  void resolve(std::uint32_t slot, bool evicted);
+
+  // The victim shadow: a bounded open-addressing table (see pollution.cpp).
+  [[nodiscard]] std::size_t shadow_home(LineAddr line) const noexcept {
+    // Fibonacci multiply-shift onto the power-of-two table.
+    return (line * 0x9E3779B97F4A7C15ull) & shadow_mask_;
+  }
+  [[nodiscard]] bool shadow_live(std::size_t i) const noexcept {
+    return shadow_[i].epoch == shadow_epoch_;
+  }
+  void shadow_reset(std::uint32_t capacity);
+  void shadow_insert(const ShadowEntry& entry);
+  /// Remove `line`'s entry; returns false when it was absent, else copies
+  /// the entry to `out`.
+  bool shadow_erase(LineAddr line, ShadowEntry& out);
+  void shadow_erase_at(std::size_t hole);
+
+  /// The packed per-slot record word: low half is the clock field (fill
+  /// lookup until first use, then the fill->first-use distance — the state
+  /// machine never needs both at once), high half the record generation
+  /// (assigned from next_gen_ at fill; the generation check in
+  /// on_demand_miss keeps a recycled slot from absorbing another fill's
+  /// blame). Clocks and generations are truncated to 32 bits, so distances
+  /// are computed modulo 2^32: exact below ~4.3 billion demand lookups,
+  /// which a resident line would have to survive untouched to mis-bucket.
+  [[nodiscard]] static std::uint64_t pack(std::uint32_t clock,
+                                          std::uint32_t gen) noexcept {
+    return (static_cast<std::uint64_t>(gen) << 32) | clock;
+  }
+  [[nodiscard]] std::uint32_t clock_of(std::uint32_t slot) const noexcept {
+    return static_cast<std::uint32_t>(words_[slot]);
+  }
+  [[nodiscard]] std::uint32_t gen_of(std::uint32_t slot) const noexcept {
+    return static_cast<std::uint32_t>(words_[slot] >> 32);
+  }
 
   CacheGeometry geometry_;
   PollutionStats stats_;
   /// FIFO of shadowed lines bounding the shadow table.
   RingBuffer<LineAddr> shadow_order_;
-  /// line -> origin of the fill that evicted it.
-  ShadowTable shadow_;
+  std::vector<ShadowEntry> shadow_;
+  std::size_t shadow_mask_ = 0;
+  std::size_t shadow_size_ = 0;
+  std::uint32_t shadow_epoch_ = 0;
   /// set -> pollution events (all three cases).
   std::vector<std::uint64_t> per_set_;
+
+  bool track_fates_ = false;
+  std::uint64_t demand_lookups_ = 0;
+  std::uint64_t next_gen_ = 0;
+  /// Fates of records already retired, plus the confirm counters/histograms.
+  ProvenanceSummary resolved_;
+  // Live fate records, structure-of-arrays indexed by cache slot: a one-byte
+  // state array probed on every eviction and first use, with the packed
+  // clock/generation word touched only on the rarer state transitions.
+  std::vector<std::uint8_t> flags_;
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace spf

@@ -12,7 +12,6 @@
 #include "spf/mshr/mshr.hpp"
 #include "spf/sim/occupancy.hpp"
 #include "spf/sim/pollution.hpp"
-#include "spf/sim/provenance.hpp"
 
 namespace spf {
 

@@ -35,7 +35,6 @@
 #include "spf/prefetch/core_prefetchers.hpp"
 #include "spf/sim/config.hpp"
 #include "spf/sim/pollution.hpp"
-#include "spf/sim/provenance.hpp"
 #include "spf/sim/result.hpp"
 #include "spf/trace/trace.hpp"
 #include "spf/trace/trace_cursor.hpp"
@@ -206,11 +205,10 @@ class CmpSimulator {
   std::optional<Cache> l2_;
   std::optional<MshrFile> mshr_;
   std::optional<MemoryController> memory_;
-  std::optional<PollutionTracker> pollution_;
-  /// Engaged only when config_.provenance is set; disengaged (one branch on
-  /// the hot paths) otherwise. Purely observational — never feeds back into
-  /// timing or replacement, so results are bit-identical either way.
-  std::optional<ProvenanceTracker> provenance_;
+  /// Pollution cases and, with config_.provenance, prefetch fates. Purely
+  /// observational — never feeds back into timing or replacement, so
+  /// results are bit-identical with fates on or off.
+  std::optional<PollutionTracker> tracker_;
   std::uint64_t hw_prefetches_issued_ = 0;
   std::vector<LineAddr> pf_scratch_;
   std::vector<MshrEntry> drain_scratch_;

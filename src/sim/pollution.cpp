@@ -15,99 +15,131 @@ std::string PollutionStats::to_string() const {
   return out.str();
 }
 
-namespace {
-
-std::size_t shadow_slot_count(std::uint32_t capacity) {
-  // The ring bounds live entries to `capacity`; keep the table at most
-  // half-full so linear probe chains stay short.
-  std::size_t n = 16;
-  while (n < 2 * static_cast<std::size_t>(capacity)) n *= 2;
-  return n;
-}
-
-}  // namespace
-
-ShadowTable::ShadowTable(std::uint32_t capacity)
-    : slots_(shadow_slot_count(capacity)),
-      mask_(slots_.size() - 1) {}
-
-void ShadowTable::reset(std::uint32_t capacity) {
-  slots_.assign(shadow_slot_count(capacity), Slot{});
-  mask_ = slots_.size() - 1;
-  size_ = 0;
-  // Disabled until enable_aux() runs again; capacity is kept so a pooled
-  // provenance-on context re-enables without reallocating.
-  aux_.clear();
-}
-
-void ShadowTable::enable_aux() {
-  aux_.assign(slots_.size(), ShadowAux{});
-}
-
-void ShadowTable::insert_or_assign(LineAddr line, FillOrigin origin,
-                                   const ShadowAux* aux) {
-  std::size_t i = home_of(line);
-  while (slots_[i].occupied) {
-    if (slots_[i].line == line) {
-      slots_[i].origin = origin;
-      if (aux != nullptr && !aux_.empty()) aux_[i] = *aux;
-      return;
-    }
-    i = (i + 1) & mask_;
-  }
-  slots_[i] = Slot{.line = line, .origin = origin, .occupied = true};
-  if (aux != nullptr && !aux_.empty()) aux_[i] = *aux;
-  ++size_;
-}
-
-bool ShadowTable::erase(LineAddr line, ShadowAux* aux_out) {
-  std::size_t i = home_of(line);
-  while (slots_[i].occupied) {
-    if (slots_[i].line == line) {
-      if (aux_out != nullptr && !aux_.empty()) *aux_out = aux_[i];
-      erase_at(i);
-      --size_;
-      return true;
-    }
-    i = (i + 1) & mask_;
-  }
-  return false;
-}
-
-void ShadowTable::erase_at(std::size_t hole) {
-  // Backward-shift deletion: pull each displaced successor in the probe
-  // chain into the hole instead of leaving a tombstone.
-  slots_[hole].occupied = false;
-  std::size_t j = hole;
-  for (;;) {
-    j = (j + 1) & mask_;
-    if (!slots_[j].occupied) return;
-    const std::size_t home = home_of(slots_[j].line);
-    // The element at j may move into the hole only if its home position is
-    // not cyclically inside (hole, j] — otherwise probing would lose it.
-    const bool stays = hole <= j ? (hole < home && home <= j)
-                                 : (home <= j || home > hole);
-    if (stays) continue;
-    slots_[hole] = slots_[j];
-    if (!aux_.empty()) aux_[hole] = aux_[j];
-    slots_[j].occupied = false;
-    hole = j;
+void ProvenanceSummary::add(const ProvenanceSummary& other) noexcept {
+  if (!other.enabled) return;
+  enabled = true;
+  tracked_fills += other.tracked_fills;
+  helper_fills += other.helper_fills;
+  hardware_fills += other.hardware_fills;
+  used_timely += other.used_timely;
+  used_late += other.used_late;
+  evicted_unused += other.evicted_unused;
+  polluting += other.polluting;
+  resident_unused += other.resident_unused;
+  reuse_confirms += other.reuse_confirms;
+  late_pollution_confirms += other.late_pollution_confirms;
+  fill_to_use_total += other.fill_to_use_total;
+  polluted_sets += other.polluted_sets;
+  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+    fill_to_use[b] += other.fill_to_use[b];
+    victim_reuse[b] += other.victim_reuse[b];
+    set_heatmap[b] += other.set_heatmap[b];
   }
 }
 
 PollutionTracker::PollutionTracker(std::uint32_t shadow_capacity,
-                                   const CacheGeometry& geometry)
-    : geometry_(geometry), shadow_order_(shadow_capacity),
-      shadow_(shadow_capacity), per_set_(geometry.num_sets(), 0) {}
+                                   const CacheGeometry& geometry,
+                                   bool track_fates)
+    : geometry_(geometry), shadow_order_(shadow_capacity) {
+  reset(shadow_capacity, geometry, track_fates);
+}
 
 void PollutionTracker::reset(std::uint32_t shadow_capacity,
-                             const CacheGeometry& geometry) {
+                             const CacheGeometry& geometry, bool track_fates) {
   geometry_ = geometry;
   stats_ = PollutionStats{};
   shadow_order_.reset(shadow_capacity);
-  shadow_.reset(shadow_capacity);
+  shadow_reset(shadow_capacity);
   per_set_.assign(geometry.num_sets(), 0);
+
+  track_fates_ = track_fates;
+  demand_lookups_ = 0;
+  next_gen_ = 0;
+  resolved_ = ProvenanceSummary{};
+  resolved_.enabled = track_fates;
+  if (track_fates) {
+    // Records are slot-indexed: one per L2 line, exact.
+    const std::size_t lines = geometry.num_sets() * geometry.ways();
+    flags_.assign(lines, 0);
+    // words_ entries are only read for slots whose kActive bit is set, and a
+    // fill writes them before setting the bit — stale words are unreachable,
+    // so resize without the clearing pass.
+    words_.resize(lines);
+  } else {
+    flags_.clear();
+  }
 }
+
+// ---- the victim shadow ----------------------------------------------------
+//
+// A bounded open-addressing map from shadowed line to its displacement
+// metadata. Linear probing with backward-shift deletion (no tombstones),
+// sized to at most half-full for the fixed capacity, so lookups on the
+// per-miss hot path touch one or two contiguous entries instead of chasing
+// hash-map buckets. Never iterated — membership and size are the only
+// observable behaviour, so the probe order cannot leak into artifacts.
+
+void PollutionTracker::shadow_reset(std::uint32_t capacity) {
+  // The FIFO ring bounds live entries to `capacity`; keep the table at most
+  // half-full so linear probe chains stay short.
+  std::size_t n = 16;
+  while (n < 2 * static_cast<std::size_t>(capacity)) n *= 2;
+  // At an unchanged size, bumping the epoch empties the table without
+  // touching it (adaptive intervals reset once per interval); it is cleared
+  // only on a resize or when the epoch wraps.
+  if (shadow_.size() != n || ++shadow_epoch_ == 0) {
+    shadow_.assign(n, ShadowEntry{});
+    shadow_epoch_ = 1;
+  }
+  shadow_mask_ = n - 1;
+  shadow_size_ = 0;
+}
+
+void PollutionTracker::shadow_insert(const ShadowEntry& entry) {
+  std::size_t i = shadow_home(entry.line);
+  while (shadow_live(i) && shadow_[i].line != entry.line) {
+    i = (i + 1) & shadow_mask_;
+  }
+  if (!shadow_live(i)) ++shadow_size_;
+  shadow_[i] = entry;
+  shadow_[i].epoch = shadow_epoch_;
+}
+
+bool PollutionTracker::shadow_erase(LineAddr line, ShadowEntry& out) {
+  std::size_t i = shadow_home(line);
+  while (shadow_live(i)) {
+    if (shadow_[i].line == line) {
+      out = shadow_[i];
+      shadow_erase_at(i);
+      --shadow_size_;
+      return true;
+    }
+    i = (i + 1) & shadow_mask_;
+  }
+  return false;
+}
+
+void PollutionTracker::shadow_erase_at(std::size_t hole) {
+  // Backward-shift deletion: pull each displaced successor in the probe
+  // chain into the hole instead of leaving a tombstone.
+  shadow_[hole].epoch = 0;
+  std::size_t j = hole;
+  for (;;) {
+    j = (j + 1) & shadow_mask_;
+    if (!shadow_live(j)) return;
+    const std::size_t home = shadow_home(shadow_[j].line);
+    // The entry at j may move into the hole only if its home position is
+    // not cyclically inside (hole, j] — otherwise probing would lose it.
+    const bool stays = hole <= j ? (hole < home && home <= j)
+                                 : (home <= j || home > hole);
+    if (stays) continue;
+    shadow_[hole] = shadow_[j];
+    shadow_[j].epoch = 0;
+    hole = j;
+  }
+}
+
+// ---- pollution cases --------------------------------------------------------
 
 void PollutionTracker::attribute(LineAddr line) {
   ++per_set_[geometry_.set_of_line(line)];
@@ -136,19 +168,21 @@ std::uint64_t PollutionTracker::polluted_set_count() const {
   return n;
 }
 
-void PollutionTracker::enable_shadow_aux() { shadow_.enable_aux(); }
-
-void PollutionTracker::on_eviction_impl(const Eviction& ev,
-                                        const ShadowAux* aux) {
+void PollutionTracker::on_eviction(const Eviction& ev) {
+  if (track_fates_ && (flags_[ev.slot] & kActive)) {
+    resolve(ev.slot, /*evicted=*/true);
+    flags_[ev.slot] = 0;
+  }
   ++stats_.total_evictions;
   const bool evictor_is_prefetch =
       ev.replaced_by_origin == FillOrigin::kHelper ||
       ev.replaced_by_origin == FillOrigin::kHardware;
+  ShadowEntry dead;
   if (!evictor_is_prefetch) {
     // Demand fills can also displace useful data; that is ordinary capacity/
     // conflict behaviour, not prefetch pollution. Drop any stale shadow for
     // the victim so a later re-miss is not misattributed.
-    shadow_.erase(ev.victim.line);
+    shadow_erase(ev.victim.line, dead);
     return;
   }
   ++stats_.prefetch_caused_evictions;
@@ -170,16 +204,114 @@ void PollutionTracker::on_eviction_impl(const Eviction& ev,
   // demand miss returns for it — shadow it.
   LineAddr dropped = 0;
   if (shadow_order_.push(ev.victim.line, &dropped)) {
-    shadow_.erase(dropped);
+    shadow_erase(dropped, dead);
   }
-  shadow_.insert_or_assign(ev.victim.line, ev.replaced_by_origin, aux);
+  shadow_insert(ShadowEntry{
+      .line = ev.victim.line,
+      .evict_lookup = static_cast<std::uint32_t>(demand_lookups_),
+      .evictor_slot = ev.slot,
+      .evictor_gen = static_cast<std::uint32_t>(next_gen_)});
 }
 
-bool PollutionTracker::on_demand_miss(LineAddr line, ShadowAux* aux_out) {
-  if (!shadow_.erase(line, aux_out)) return false;
+bool PollutionTracker::on_demand_miss(LineAddr line) {
+  ShadowEntry entry;
+  if (!shadow_erase(line, entry)) return false;
   ++stats_.case1_reuse_displaced;
   attribute(line);
+  if (track_fates_) {
+    ++resolved_.reuse_confirms;
+    ++resolved_.victim_reuse[ProvenanceSummary::bucket_of(
+        static_cast<std::uint32_t>(demand_lookups_) - entry.evict_lookup)];
+    const std::uint8_t f = flags_[entry.evictor_slot];
+    if ((f & kActive) && gen_of(entry.evictor_slot) == entry.evictor_gen) {
+      flags_[entry.evictor_slot] = f | kPolluting;
+    } else {
+      ++resolved_.late_pollution_confirms;
+    }
+  }
   return true;
+}
+
+// ---- prefetch fates ---------------------------------------------------------
+
+void PollutionTracker::resolve(std::uint32_t slot, bool evicted) {
+  const std::uint8_t f = flags_[slot];
+  if (f & kPolluting) {
+    ++resolved_.polluting;
+  } else if (f & kUsed) {
+    ++resolved_.used_timely;
+    resolved_.fill_to_use_total += clock_of(slot);
+    ++resolved_.fill_to_use[ProvenanceSummary::bucket_of(clock_of(slot))];
+  } else if (evicted) {
+    ++resolved_.evicted_unused;
+  } else {
+    ++resolved_.resident_unused;
+  }
+}
+
+void PollutionTracker::record_fill(std::uint32_t slot, FillOrigin raw_origin,
+                                   bool demand_merged) {
+  ++resolved_.tracked_fills;
+  if (raw_origin == FillOrigin::kHelper) {
+    ++resolved_.helper_fills;
+  } else {
+    ++resolved_.hardware_fills;
+  }
+  if (demand_merged) {
+    // The demand miss was already in flight when this prefetch completed:
+    // the prefetch was too late to hide any latency. The line installs with
+    // demand origin, so it is not tracked further.
+    ++resolved_.used_late;
+    return;
+  }
+  if (flags_[slot] & kActive) {
+    // Defensive: the eviction that vacated this slot resolves its record
+    // first, and the MSHR admits one in-flight fill per line — so a live
+    // record should never be overwritten. Retire the stale record as
+    // displaced rather than losing it.
+    resolve(slot, /*evicted=*/true);
+  }
+  flags_[slot] = kActive;
+  words_[slot] = pack(static_cast<std::uint32_t>(demand_lookups_),
+                      static_cast<std::uint32_t>(next_gen_++));
+}
+
+void PollutionTracker::mark_used(std::uint32_t slot) {
+  const std::uint8_t f = flags_[slot];
+  if (!(f & kActive) || (f & kUsed)) return;
+  flags_[slot] = f | kUsed;
+  // The clock field flips from fill-lookup to first-use distance; the
+  // generation rides along untouched (a used fill can still turn polluting).
+  words_[slot] = pack(static_cast<std::uint32_t>(demand_lookups_) - clock_of(slot),
+                      gen_of(slot));
+}
+
+ProvenanceSummary PollutionTracker::snapshot() const {
+  if (!track_fates_) return ProvenanceSummary{};
+  ProvenanceSummary out = resolved_;
+  // Provisionally classify still-live fills so the fate counts partition the
+  // tracked fills even mid-run (warm adaptive snapshots). A resident fill may
+  // migrate between categories across snapshots; the partition holds at each.
+  for (std::size_t slot = 0; slot < flags_.size(); ++slot) {
+    const std::uint8_t f = flags_[slot];
+    if (!(f & kActive)) continue;
+    if (f & kPolluting) {
+      ++out.polluting;
+    } else if (f & kUsed) {
+      ++out.used_timely;
+      const std::uint64_t d = clock_of(static_cast<std::uint32_t>(slot));
+      out.fill_to_use_total += d;
+      ++out.fill_to_use[ProvenanceSummary::bucket_of(d)];
+    } else {
+      ++out.resident_unused;
+    }
+  }
+  for (std::uint64_t count : per_set_) {
+    if (count == 0) continue;
+    ++out.polluted_sets;
+    ++out.set_heatmap[ProvenanceSummary::bucket_of(count)];
+  }
+  return out;
 }
 
 }  // namespace spf

@@ -68,24 +68,10 @@ void CmpSimulator::reset(const std::vector<CoreStream>& streams) {
   } else {
     memory_.emplace(config_.memory);
   }
-  if (pollution_) {
-    pollution_->reset(config_.shadow_capacity, config_.l2);
+  if (tracker_) {
+    tracker_->reset(config_.shadow_capacity, config_.l2, config_.provenance);
   } else {
-    pollution_.emplace(config_.shadow_capacity, config_.l2);
-  }
-  if (config_.provenance) {
-    // Live records are slot-indexed: one per resident L2 line, exact. The
-    // victim shadow rides the pollution tracker's table as an aux sidecar,
-    // so provenance itself keeps no hash table at all.
-    const std::size_t l2_lines = config_.l2.num_sets() * config_.l2.ways();
-    if (provenance_) {
-      provenance_->reset(l2_lines);
-    } else {
-      provenance_.emplace(l2_lines);
-    }
-    pollution_->enable_shadow_aux();
-  } else {
-    provenance_.reset();
+    tracker_.emplace(config_.shadow_capacity, config_.l2, config_.provenance);
   }
   hw_prefetches_issued_ = 0;
   occupancy_ = OccupancySeries{};
@@ -211,20 +197,18 @@ SimResult CmpSimulator::run_bound() {
     result.per_core.push_back(core.metrics);
     result.makespan = std::max(result.makespan, core.clock);
   }
-  result.pollution = pollution_->stats();
+  result.pollution = tracker_->stats();
   result.l2 = l2_->stats();
   result.mshr = mshr_->stats();
   result.memory = memory_->stats();
   result.hw_prefetches_issued = hw_prefetches_issued_;
   // Copy, not move: a warm continuation must keep appending to the series.
   result.occupancy = occupancy_;
-  result.polluted_set_count = pollution_->polluted_set_count();
-  result.top_polluted_sets = pollution_->top_polluted_sets(16);
-  if (provenance_) {
-    // Snapshot, not drain: a warm continuation keeps accumulating, so the
-    // still-live fills are classified provisionally each time.
-    result.provenance = provenance_->snapshot(pollution_->per_set());
-  }
+  result.polluted_set_count = tracker_->polluted_set_count();
+  result.top_polluted_sets = tracker_->top_polluted_sets(16);
+  // Snapshot, not drain: a warm continuation keeps accumulating, so the
+  // still-live fills are classified provisionally each time.
+  result.provenance = tracker_->snapshot();
   return result;
 }
 
@@ -346,25 +330,13 @@ void CmpSimulator::drain_l2(Cycle now) {
     const FillOrigin origin =
         fill.demand_merged ? FillOrigin::kDemand : fill.origin;
     std::uint32_t slot = Cache::kNoSlot;
-    if (auto evicted = l2_->fill(fill.line, origin, fill.core, fill.fill_time,
-                                 provenance_ ? &slot : nullptr)) {
-      if (evicted->victim.dirty) memory_->writeback(fill.fill_time);
-      if (provenance_) {
-        // The displacement metadata rides the pollution shadow's own insert
-        // as a ShadowAux — provenance does no hash work of its own. Victim
-        // record retires before the incoming fill's record reuses the slot.
-        pollution_->on_eviction(*evicted,
-                                provenance_->eviction_aux(evicted->slot));
-        provenance_->on_evicted_record(evicted->slot);
-      } else {
-        pollution_->on_eviction(*evicted);
-      }
-    }
-    if (provenance_ && fill.origin != FillOrigin::kDemand) {
-      // Raw (pre-merge-upgrade) origin: a merged prefetch fill is the
-      // used_late fate at install time, never a live record.
-      provenance_->on_fill(slot, fill.origin, fill.demand_merged);
-    }
+    const std::optional<Eviction> evicted =
+        l2_->fill(fill.line, origin, fill.core, fill.fill_time,
+                  tracker_->tracks_fates() ? &slot : nullptr);
+    if (evicted && evicted->victim.dirty) memory_->writeback(fill.fill_time);
+    // Raw (pre-merge-upgrade) origin: a merged prefetch fill is the used_late
+    // fate at install time, never a live record.
+    tracker_->on_fill(fill.origin, fill.demand_merged, slot, evicted);
     if (fill.write) l2_->mark_dirty(fill.line);  // write-allocate installs dirty
   }
 }
@@ -381,18 +353,15 @@ Cycle CmpSimulator::demand_access(CoreState& core, CoreId id,
   const Cycle t = start + config_.l1_latency;
   drain_l2(t);
   ++core.metrics.l2_lookups;
-  // Provenance clocks reuse in *demand* L2 lookups; helper lookups are not
+  // The tracker clocks reuse in *demand* L2 lookups; helper lookups are not
   // processor reuse (the same convention as the l2_kind downgrade below).
-  const bool track_provenance =
-      provenance_.has_value() && core.origin == FillOrigin::kDemand;
-  if (track_provenance) provenance_->on_demand_lookup();
+  const bool demand_core = core.origin == FillOrigin::kDemand;
+  if (demand_core) tracker_->on_demand_lookup();
 
   // Only the main computation thread's touches count as "used by the
   // processor": a helper hit on its own earlier fill must not clear the
   // unused-prefetch status that pollution cases 2/3 are defined over.
-  const AccessKind l2_kind = core.origin == FillOrigin::kDemand
-                                 ? rec.kind()
-                                 : AccessKind::kPrefetch;
+  const AccessKind l2_kind = demand_core ? rec.kind() : AccessKind::kPrefetch;
   Cycle done;
   bool was_l2_miss;
   // Demand hits are the hottest event in a run, so the tracker is consulted
@@ -405,8 +374,8 @@ Cycle CmpSimulator::demand_access(CoreState& core, CoreId id,
     ++core.metrics.totally_hits;
     was_l2_miss = false;
     done = t + config_.l2_latency;
-    if (track_provenance && first_use_slot != Cache::kNoSlot) {
-      provenance_->on_demand_hit(first_use_slot);
+    if (demand_core && first_use_slot != Cache::kNoSlot) {
+      tracker_->on_first_demand_hit(first_use_slot);
     }
   } else if (const MshrEntry* inflight = mshr_->find(line)) {
     // Partially hit: request already issued, not yet serviced. Wait out the
@@ -414,7 +383,7 @@ Cycle CmpSimulator::demand_access(CoreState& core, CoreId id,
     ++core.metrics.partially_hits;
     was_l2_miss = true;
     const Cycle fill_time = inflight->fill_time;
-    mshr_->merge(line, core.origin == FillOrigin::kDemand);
+    mshr_->merge(line, demand_core);
     if (rec.kind() == AccessKind::kWrite) mshr_->mark_write(line);
     done = std::max(t, fill_time) + config_.l2_latency;
     core.metrics.stall_cycles += done - t;
@@ -422,20 +391,10 @@ Cycle CmpSimulator::demand_access(CoreState& core, CoreId id,
     // Totally miss: full memory round trip.
     ++core.metrics.totally_misses;
     was_l2_miss = true;
-    if (core.origin == FillOrigin::kDemand) {
-      // Case-1 pollution is defined over processor reuse only. On a
-      // confirmed displacement reuse the pollution shadow hands back the
-      // ShadowAux the eviction attached, closing the loop to the fill.
-      if (provenance_) {
-        ShadowAux aux;
-        if (pollution_->on_demand_miss(line, &aux)) {
-          provenance_->on_confirmed_reuse(aux);
-        }
-      } else {
-        pollution_->on_demand_miss(line);
-      }
-    }
+    // Case-1 pollution is defined over processor reuse only.
+    if (demand_core) tracker_->on_demand_miss(line);
     Cycle issue = t;
+    if (mshr_->full()) mshr_->count_full_rejection();
     while (mshr_->full()) {
       // Structural stall: wait for the earliest outstanding fill, install it,
       // retry.
@@ -484,6 +443,7 @@ Cycle CmpSimulator::software_prefetch(CoreState& core, CoreId id,
   if (mshr_->full()) {
     // Real prefetch instructions are dropped under MSHR pressure.
     ++core.metrics.prefetches_dropped;
+    mshr_->count_full_rejection();
     return t;
   }
   const FillOrigin origin = core.origin == FillOrigin::kDemand
@@ -506,7 +466,11 @@ void CmpSimulator::issue_hw_prefetches(CoreState& core, CoreId id,
       pf_scratch_);
   for (LineAddr line : pf_scratch_) {
     if (l2_->probe(line).has_value() || mshr_->find(line) != nullptr) continue;
-    if (mshr_->full()) break;  // hw prefetches never stall: drop the rest
+    if (mshr_->full()) {
+      // Hardware prefetches never stall: drop the rest of the batch.
+      mshr_->count_full_rejection();
+      break;
+    }
     const Cycle fill_time = memory_->issue(now, FillOrigin::kHardware);
     mshr_->allocate(line, now, fill_time, FillOrigin::kHardware, id);
     ++hw_prefetches_issued_;

@@ -52,7 +52,7 @@ enum class Counter : std::uint16_t {
   kPollutionCase1,
   kPollutionCase2,
   kPollutionCase3,
-  // prefetch-lifecycle provenance (spf/sim/provenance.hpp; zero unless
+  // prefetch-lifecycle fates (spf/sim/pollution.hpp; zero unless
   // SimConfig::provenance was set for the surfaced run)
   kPrefetchFillsTracked,      // helper/hw fills installed into L2
   kPrefetchFateUsedTimely,    // the five fates partition the tracked fills

@@ -1,6 +1,7 @@
-// Prefetch-lifecycle provenance: tracker unit tests, the observer-effect
+// Prefetch-lifecycle provenance on real runs: the observer-effect
 // differential (provenance on must not change a byte of the pinned golden
-// artifacts), and the lifecycle accounting properties on real runs.
+// artifacts) and the lifecycle accounting properties across the pinned grid.
+// The tracker's unit and property tests live in pollution_test.cpp.
 //
 // The differential reuses the checked-in pinned-grid goldens
 // (tests/golden/pinned_sweep.{csv,jsonl}): with provenance ON the CSV must
@@ -16,10 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "pinned_golden_spec.hpp"
-#include "spf/mem/geometry.hpp"
 #include "spf/orchestrate/sweep.hpp"
 #include "spf/sim/pollution.hpp"
-#include "spf/sim/provenance.hpp"
 
 #ifndef SPF_GOLDEN_DIR
 #error "SPF_GOLDEN_DIR must point at tests/golden"
@@ -27,258 +26,6 @@
 
 namespace spf {
 namespace {
-
-Eviction make_eviction(LineAddr victim_line, FillOrigin victim_origin,
-                       bool victim_used, std::uint32_t slot,
-                       FillOrigin evictor_origin) {
-  Eviction ev;
-  ev.victim.line = victim_line;
-  ev.victim.valid = true;
-  ev.victim.origin = victim_origin;
-  ev.victim.used_since_fill = victim_used;
-  ev.replaced_by = victim_line + 10000;  // evictor line identity is untracked
-  ev.replaced_by_origin = evictor_origin;
-  ev.slot = slot;
-  return ev;
-}
-
-/// Wires a PollutionTracker and ProvenanceTracker together the way the
-/// simulator's drain loop does: displacement metadata rides the pollution
-/// shadow as a ShadowAux sidecar, handed back on the confirming demand miss.
-struct LifecycleHarness {
-  PollutionTracker pollution;
-  ProvenanceTracker prov;
-
-  LifecycleHarness()
-      : pollution(64, CacheGeometry(64 * 1024, 8, 64)), prov(1024) {
-    pollution.enable_shadow_aux();
-  }
-
-  void evict(const Eviction& ev) {
-    pollution.on_eviction(ev, prov.eviction_aux(ev.slot));
-    prov.on_evicted_record(ev.slot);
-  }
-
-  bool demand_miss(LineAddr line) {
-    ShadowAux aux;
-    if (!pollution.on_demand_miss(line, &aux)) return false;
-    prov.on_confirmed_reuse(aux);
-    return true;
-  }
-};
-
-ProvenanceSummary snap(const ProvenanceTracker& t) {
-  return t.snapshot({});
-}
-
-void expect_partition(const ProvenanceSummary& s) {
-  EXPECT_EQ(s.fate_total(), s.tracked_fills)
-      << "the five fates must partition the tracked fills";
-  EXPECT_EQ(s.helper_fills + s.hardware_fills, s.tracked_fills);
-}
-
-TEST(ProvenanceSummaryTest, BucketOfIsLog2WithSaturation) {
-  EXPECT_EQ(ProvenanceSummary::bucket_of(0), 0u);
-  EXPECT_EQ(ProvenanceSummary::bucket_of(1), 1u);
-  EXPECT_EQ(ProvenanceSummary::bucket_of(2), 2u);
-  EXPECT_EQ(ProvenanceSummary::bucket_of(3), 2u);
-  EXPECT_EQ(ProvenanceSummary::bucket_of(4), 3u);
-  EXPECT_EQ(ProvenanceSummary::bucket_of(1023), 10u);
-  EXPECT_EQ(ProvenanceSummary::bucket_of(1024), 11u);
-  // Distances past 2^30 saturate into the last bucket instead of overflowing.
-  EXPECT_EQ(ProvenanceSummary::bucket_of(std::uint64_t{1} << 40),
-            ProvenanceSummary::kHistogramBuckets - 1);
-  EXPECT_EQ(ProvenanceSummary::bucket_of(~std::uint64_t{0}),
-            ProvenanceSummary::kHistogramBuckets - 1);
-}
-
-TEST(ProvenanceTrackerTest, TimelyUseRecordsFirstUseDistance) {
-  ProvenanceTracker t(64);
-  // Three demand lookups pass, the prefetch fills, three more lookups, hit.
-  for (int i = 0; i < 3; ++i) t.on_demand_lookup();
-  t.on_fill(7, FillOrigin::kHelper, /*demand_merged=*/false);
-  for (int i = 0; i < 3; ++i) t.on_demand_lookup();
-  t.on_demand_hit(7);
-
-  const ProvenanceSummary s = snap(t);
-  expect_partition(s);
-  EXPECT_EQ(s.tracked_fills, 1u);
-  EXPECT_EQ(s.helper_fills, 1u);
-  EXPECT_EQ(s.used_timely, 1u);
-  EXPECT_EQ(s.fill_to_use_total, 3u);
-  EXPECT_EQ(s.fill_to_use[ProvenanceSummary::bucket_of(3)], 1u);
-  // Only the first use defines the distance; later hits must not re-bucket.
-  t.on_demand_lookup();
-  t.on_demand_hit(7);
-  const ProvenanceSummary again = snap(t);
-  EXPECT_EQ(again.fill_to_use_total, 3u);
-  EXPECT_EQ(again.used_timely, 1u);
-}
-
-TEST(ProvenanceTrackerTest, DemandMergedFillIsUsedLateImmediately) {
-  ProvenanceTracker t(64);
-  t.on_fill(9, FillOrigin::kHardware, /*demand_merged=*/true);
-  const ProvenanceSummary s = snap(t);
-  expect_partition(s);
-  EXPECT_EQ(s.tracked_fills, 1u);
-  EXPECT_EQ(s.hardware_fills, 1u);
-  EXPECT_EQ(s.used_late, 1u);
-  // No live record remains: a later "hit" on the line is not a timely use.
-  t.on_demand_lookup();
-  t.on_demand_hit(9);
-  EXPECT_EQ(snap(t).used_timely, 0u);
-}
-
-TEST(ProvenanceTrackerTest, DisplacedBeforeUseIsEvictedUnused) {
-  ProvenanceTracker t(64);
-  t.on_fill(11, FillOrigin::kHelper, false);
-  t.on_evicted_record(11);
-  const ProvenanceSummary s = snap(t);
-  expect_partition(s);
-  EXPECT_EQ(s.evicted_unused, 1u);
-  EXPECT_EQ(s.used_timely, 0u);
-}
-
-TEST(ProvenanceTrackerTest, StillResidentUnusedAtSnapshotTime) {
-  ProvenanceTracker t(64);
-  t.on_fill(13, FillOrigin::kHardware, false);
-  const ProvenanceSummary s = snap(t);
-  expect_partition(s);
-  EXPECT_EQ(s.resident_unused, 1u);
-  // snapshot() is const and provisional: the fill can still earn a better
-  // fate afterwards (warm adaptive intervals re-snapshot mid-run).
-  t.on_demand_lookup();
-  t.on_demand_hit(13);
-  const ProvenanceSummary later = snap(t);
-  expect_partition(later);
-  EXPECT_EQ(later.resident_unused, 0u);
-  EXPECT_EQ(later.used_timely, 1u);
-}
-
-TEST(ProvenanceTrackerTest, ConfirmedVictimReuseMarksTheFillPolluting) {
-  LifecycleHarness h;
-  ProvenanceTracker& t = h.prov;
-  t.on_demand_lookup();  // clock = 1
-  // The fill displaces used demand data (the case-1 raw material). Eviction
-  // precedes the fill that causes it — the drain order — and the shadowed
-  // aux links forward to the generation the fill is about to receive.
-  h.evict(make_eviction(500, FillOrigin::kDemand, /*victim_used=*/true,
-                        /*slot=*/17, FillOrigin::kHelper));
-  t.on_fill(17, FillOrigin::kHelper, false);
-  for (int i = 0; i < 5; ++i) t.on_demand_lookup();
-  // ...and the processor comes back for the victim: reuse confirmed.
-  EXPECT_TRUE(h.demand_miss(500));
-
-  const ProvenanceSummary s = snap(t);
-  expect_partition(s);
-  EXPECT_EQ(s.polluting, 1u);
-  EXPECT_EQ(s.reuse_confirms, 1u);
-  EXPECT_EQ(s.late_pollution_confirms, 0u);
-  EXPECT_EQ(s.victim_reuse[ProvenanceSummary::bucket_of(5)], 1u);
-  // The aux ride keeps the two trackers in lockstep on case-1 counts.
-  EXPECT_EQ(h.pollution.stats().case1_reuse_displaced, s.reuse_confirms);
-  // Polluting outranks used_timely: a demand hit after the confirmation
-  // must not reclassify the fill.
-  t.on_demand_lookup();
-  t.on_demand_hit(17);
-  const ProvenanceSummary after = snap(t);
-  expect_partition(after);
-  EXPECT_EQ(after.polluting, 1u);
-  EXPECT_EQ(after.used_timely, 0u);
-}
-
-TEST(ProvenanceTrackerTest, ConfirmAfterFillResolvedCountsAsLateConfirm) {
-  LifecycleHarness h;
-  ProvenanceTracker& t = h.prov;
-  h.evict(make_eviction(600, FillOrigin::kDemand, true, /*slot=*/19,
-                        FillOrigin::kHelper));
-  t.on_fill(19, FillOrigin::kHelper, false);
-  // The displacing fill itself gets evicted before the victim's reuse shows.
-  h.evict(make_eviction(19, FillOrigin::kHelper, false, /*slot=*/19,
-                        FillOrigin::kDemand));
-  t.on_demand_lookup();
-  EXPECT_TRUE(h.demand_miss(600));
-
-  const ProvenanceSummary s = snap(t);
-  expect_partition(s);
-  EXPECT_EQ(s.evicted_unused, 1u);  // the fill's fate was already sealed
-  EXPECT_EQ(s.polluting, 0u);
-  EXPECT_EQ(s.reuse_confirms, 1u);  // the victim reuse still counts...
-  EXPECT_EQ(s.late_pollution_confirms, 1u);  // ...flagged as late
-}
-
-TEST(ProvenanceTrackerTest, RecycledSlotDoesNotAbsorbStaleBlame) {
-  LifecycleHarness h;
-  ProvenanceTracker& t = h.prov;
-  h.evict(make_eviction(800, FillOrigin::kDemand, true, /*slot=*/31,
-                        FillOrigin::kHelper));
-  t.on_fill(31, FillOrigin::kHelper, false);
-  // The displacing fill is itself displaced, and an unrelated prefetch
-  // recycles the same cache slot before the victim's reuse shows up.
-  h.evict(make_eviction(801, FillOrigin::kHelper, false, /*slot=*/31,
-                        FillOrigin::kHardware));
-  t.on_fill(31, FillOrigin::kHardware, false);
-  t.on_demand_lookup();
-  EXPECT_TRUE(h.demand_miss(800));
-
-  const ProvenanceSummary s = snap(t);
-  expect_partition(s);
-  // The generation check exonerates the new record living at slot 31.
-  EXPECT_EQ(s.polluting, 0u);
-  EXPECT_EQ(s.late_pollution_confirms, 1u);
-  EXPECT_EQ(s.reuse_confirms, 1u);
-}
-
-TEST(ProvenanceTrackerTest, DemandEvictionClearsTheVictimShadow) {
-  LifecycleHarness h;
-  ProvenanceTracker& t = h.prov;
-  h.evict(make_eviction(700, FillOrigin::kDemand, true, /*slot=*/23,
-                        FillOrigin::kHelper));
-  t.on_fill(23, FillOrigin::kHelper, false);
-  // The victim line comes back and is displaced again by a *demand* fill:
-  // the stale shadow entry (and its aux) dies with it.
-  h.evict(make_eviction(700, FillOrigin::kDemand, true, /*slot=*/42,
-                        FillOrigin::kDemand));
-  EXPECT_FALSE(h.demand_miss(700));
-  const ProvenanceSummary s = snap(t);
-  EXPECT_EQ(s.reuse_confirms, 0u);
-  EXPECT_EQ(s.polluting, 0u);
-}
-
-TEST(ProvenanceTrackerTest, ResetReturnsToFreshState) {
-  ProvenanceTracker t(64);
-  t.on_demand_lookup();
-  t.on_fill(29, FillOrigin::kHelper, false);
-  t.reset(64);
-  EXPECT_EQ(t.demand_lookups(), 0u);
-  const ProvenanceSummary s = snap(t);
-  EXPECT_TRUE(s.enabled);
-  EXPECT_EQ(s.tracked_fills, 0u);
-  EXPECT_EQ(s.fate_total(), 0u);
-}
-
-TEST(ProvenanceSummaryTest, AddMergesCountersAndHistograms) {
-  ProvenanceTracker a(64);
-  a.on_fill(1, FillOrigin::kHelper, false);
-  a.on_demand_lookup();
-  a.on_demand_hit(1);
-  ProvenanceTracker b(64);
-  b.on_fill(2, FillOrigin::kHardware, true);
-
-  ProvenanceSummary merged = snap(a);
-  merged.add(snap(b));
-  expect_partition(merged);
-  EXPECT_EQ(merged.tracked_fills, 2u);
-  EXPECT_EQ(merged.used_timely, 1u);
-  EXPECT_EQ(merged.used_late, 1u);
-
-  // Disabled summaries merge as no-ops.
-  ProvenanceSummary disabled;
-  ProvenanceSummary target = merged;
-  target.add(disabled);
-  EXPECT_EQ(target.tracked_fills, merged.tracked_fills);
-  EXPECT_EQ(target.fate_total(), merged.fate_total());
-}
 
 // ---- observer-effect differential against the pinned goldens -------------
 
@@ -382,8 +129,8 @@ TEST(ProvenancePropertyTest, AccountingInvariantsHoldAcrossThePinnedGrid) {
     EXPECT_EQ(reuse_mass, p.reuse_confirms);
     EXPECT_EQ(heat_mass, p.polluted_sets);
 
-    // The victim shadow mirrors PollutionTracker operation-for-operation,
-    // so confirmed reuses equal the paper's case-1 count exactly.
+    // A shadow confirmation is both a case-1 event and a victim reuse, so
+    // the two counts agree exactly.
     EXPECT_EQ(p.reuse_confirms,
               c.cmp->sp.pollution.case1_reuse_displaced)
         << "victim-shadow drift: provenance and pollution disagree on "

@@ -173,6 +173,30 @@ TEST(SimulatorTest, DemandStallsWhenMshrsFullThenProceeds) {
   EXPECT_GE(r.main().finish_time, 301u + 300u);
 }
 
+TEST(SimulatorTest, FullMshrCountsEveryRequestItTurnsAway) {
+  SimConfig cfg = base_config();
+  cfg.l2_mshrs = 1;
+  TraceBuffer t;
+  t.emit(line_addr(20), 0, AccessKind::kPrefetch, 0);  // takes the one MSHR
+  t.emit(line_addr(21), 0, AccessKind::kPrefetch, 0);  // dropped: 1
+  t.emit(line_addr(22), 0, AccessKind::kRead, 0);      // waits for it: 2
+  const SimResult r = CmpSimulator(cfg).run({CoreStream{.trace = &t}});
+  EXPECT_EQ(r.main().prefetches_dropped, 1u);
+  EXPECT_EQ(r.main().totally_misses, 1u);
+  EXPECT_EQ(r.mshr.full_rejections, 2u);
+
+  // Each demand miss of a sequential stream holds the only MSHR while the
+  // hardware prefetcher issues its batch, so every batch is cut short.
+  cfg.hw_prefetch = true;
+  TraceBuffer seq;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    seq.emit(line_addr(i), static_cast<std::uint32_t>(i), AccessKind::kRead, 1);
+  }
+  const SimResult h = CmpSimulator(cfg).run({CoreStream{.trace = &seq}});
+  EXPECT_EQ(h.hw_prefetches_issued, 0u);
+  EXPECT_GT(h.mshr.full_rejections, 0u);
+}
+
 TEST(SimulatorTest, RoundSyncGatesHelper) {
   // Main spends 1000 cycles in round 0; helper's round-1 record must not
   // issue before main enters round 1.

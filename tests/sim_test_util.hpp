@@ -1,5 +1,5 @@
 // Shared helpers for the simulator differential suites: full-field equality
-// over SimResult, used to hold the engine to the executable spec
+// over SimResult (the provenance summary included), used to hold the engine to the executable spec
 // (spec_sim_differential_test.cpp) and cursor-fed helper streams to their
 // materialized buffers (sim_stream_differential_test.cpp).
 #pragma once
@@ -28,6 +28,27 @@ inline void expect_same_thread_metrics(const ThreadMetrics& a,
   EXPECT_EQ(a.prefetches_dropped, b.prefetches_dropped);
   EXPECT_EQ(a.stall_cycles, b.stall_cycles);
   EXPECT_EQ(a.finish_time, b.finish_time);
+}
+
+inline void expect_same_provenance(const ProvenanceSummary& a,
+                                   const ProvenanceSummary& b) {
+  SCOPED_TRACE("provenance");
+  EXPECT_EQ(a.enabled, b.enabled);
+  EXPECT_EQ(a.tracked_fills, b.tracked_fills);
+  EXPECT_EQ(a.helper_fills, b.helper_fills);
+  EXPECT_EQ(a.hardware_fills, b.hardware_fills);
+  EXPECT_EQ(a.used_timely, b.used_timely);
+  EXPECT_EQ(a.used_late, b.used_late);
+  EXPECT_EQ(a.evicted_unused, b.evicted_unused);
+  EXPECT_EQ(a.polluting, b.polluting);
+  EXPECT_EQ(a.resident_unused, b.resident_unused);
+  EXPECT_EQ(a.reuse_confirms, b.reuse_confirms);
+  EXPECT_EQ(a.late_pollution_confirms, b.late_pollution_confirms);
+  EXPECT_EQ(a.fill_to_use_total, b.fill_to_use_total);
+  EXPECT_EQ(a.polluted_sets, b.polluted_sets);
+  EXPECT_EQ(a.fill_to_use, b.fill_to_use);
+  EXPECT_EQ(a.victim_reuse, b.victim_reuse);
+  EXPECT_EQ(a.set_heatmap, b.set_heatmap);
 }
 
 inline void expect_same_result(const SimResult& a, const SimResult& b) {
@@ -71,6 +92,7 @@ inline void expect_same_result(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.polluted_set_count, b.polluted_set_count);
   EXPECT_EQ(a.top_polluted_sets, b.top_polluted_sets);
   EXPECT_EQ(a.makespan, b.makespan);
+  expect_same_provenance(a.provenance, b.provenance);
 
   ASSERT_EQ(a.occupancy.samples.size(), b.occupancy.samples.size());
   for (std::size_t i = 0; i < a.occupancy.samples.size(); ++i) {

@@ -7,17 +7,18 @@
 // gating with resume at the leader's clock), the paper's §V.B
 // classification (totally hit / partially hit / totally miss), MSHR merge,
 // full-file stall and drain-at-t, write-allocate dirty installs and
-// writebacks, and the §II.C pollution cases over a FIFO-bounded shadow with
-// the used-bit and origin rules. Caches are std::list LRU sets in a
+// writebacks, the §II.C pollution cases over a FIFO-bounded shadow with
+// the used-bit and origin rules, and — with SimConfig::provenance — the five
+// prefetch fates of docs/provenance.md. Caches are std::list LRU sets in a
 // std::map, outstanding misses a plain vector, the shadow a std::map plus a
-// std::deque — no batching, SIMD, arena, packing or record window.
+// std::deque, fate records a std::map keyed by line with a per-fill serial
+// number — no batching, SIMD, arena, packing, record window or slot index.
 //
 // It reuses only the leaf timing/prediction models (MemoryController,
 // CorePrefetchers) and the engine's input description (CoreStream, trace
 // streams only), never Cache, MshrFile, PollutionTracker or CmpSimulator,
 // so a bug in the engine's shared access path cannot hide behind an
-// identical copy of itself. LRU replacement only; no provenance (an
-// observer that never feeds back into the compared results).
+// identical copy of itself. LRU replacement only.
 #pragma once
 
 #include <algorithm>
@@ -214,6 +215,15 @@ class SpecSimulator {
       result_.top_polluted_sets.emplace_back(set, events);
     }
     result_.polluted_set_count = result_.top_polluted_sets.size();
+    if (config_.provenance) {
+      ProvenanceSummary& f = result_.provenance;
+      f.enabled = true;
+      for (const auto& [line, record] : records_) settle(record, false);
+      for (const auto& [set, events] : polluted_sets_) {
+        ++f.polluted_sets;
+        ++f.set_heatmap[ProvenanceSummary::bucket_of(events)];
+      }
+    }
     std::stable_sort(
         result_.top_polluted_sets.begin(), result_.top_polluted_sets.end(),
         [](const auto& a, const auto& b) { return a.second > b.second; });
@@ -240,6 +250,20 @@ class SpecSimulator {
     LruCache l1;
     CorePrefetchers prefetchers;
     ThreadMetrics metrics;
+  };
+
+  struct FateRecord {  // a resident, non-merged prefetch fill
+    std::uint64_t serial = 0;  // which fill this is, across the run
+    std::uint64_t fill_lookup = 0;
+    bool used = false;
+    std::uint64_t use_distance = 0;
+    bool polluting = false;
+  };
+
+  struct Shadowed {  // a victim of a prefetch fill, awaiting its re-miss
+    std::uint64_t evict_lookup = 0;
+    LineAddr evictor_line = 0;
+    std::optional<std::uint64_t> evictor_serial;  // without provenance: none
   };
 
   struct Miss {  // an issued, not yet serviced L2 fill
@@ -291,18 +315,58 @@ class SpecSimulator {
       // A demand request merged into this fill: it lands as wanted data.
       const FillOrigin origin =
           m.demand_merged ? FillOrigin::kDemand : m.origin;
+      if (config_.provenance && m.origin != FillOrigin::kDemand) {
+        on_prefetch_fill(m);
+      }
       if (const auto victim = l2_.fill(m.line, origin)) {
         if (victim->dirty) memory_.writeback(m.fill_time);
-        on_eviction(*victim, origin);
+        on_eviction(*victim, origin, m.line);
       }
       if (m.write) l2_.mark_dirty(m.line);  // write-allocate
     }
   }
 
+  /// A helper/hardware fill reaching L2 (origin before the demand-merge
+  /// upgrade): tracked; used_late at once when a demand miss merged into it,
+  /// else a live record of the line until its fate is known.
+  void on_prefetch_fill(const Miss& m) {
+    ProvenanceSummary& f = result_.provenance;
+    ++f.tracked_fills;
+    ++(m.origin == FillOrigin::kHelper ? f.helper_fills : f.hardware_fills);
+    if (m.demand_merged) {
+      ++f.used_late;
+      return;
+    }
+    SPF_ASSERT(!records_.contains(m.line), "one live record per line");
+    records_[m.line] = FateRecord{.serial = next_serial_++,
+                                  .fill_lookup = demand_lookups_};
+  }
+
+  /// A record's fate once its line leaves the cache (`evicted`) or the run
+  /// ends: polluting > used_timely > evicted_unused / resident_unused.
+  void settle(const FateRecord& r, bool evicted) {
+    ProvenanceSummary& f = result_.provenance;
+    if (r.polluting) {
+      ++f.polluting;
+    } else if (r.used) {
+      ++f.used_timely;
+      f.fill_to_use_total += r.use_distance;
+      ++f.fill_to_use[ProvenanceSummary::bucket_of(r.use_distance)];
+    } else {
+      ++(evicted ? f.evicted_unused : f.resident_unused);
+    }
+  }
+
   /// §II.C: a prefetch fill evicting an unused helper (case 2) or hardware
   /// (case 3) fill is pollution now; one evicting useful data is shadowed
-  /// until a demand miss confirms the reuse (case 1).
-  void on_eviction(const LruCache::Line& victim, FillOrigin evictor) {
+  /// until a demand miss confirms the reuse (case 1). `evictor_line` is the
+  /// line whose fill displaced the victim.
+  void on_eviction(const LruCache::Line& victim, FillOrigin evictor,
+                   LineAddr evictor_line) {
+    if (const auto it = records_.find(victim.line); it != records_.end()) {
+      settle(it->second, /*evicted=*/true);
+      records_.erase(it);
+    }
     PollutionStats& p = result_.pollution;
     ++p.total_evictions;
     if (evictor == FillOrigin::kDemand) {
@@ -321,7 +385,37 @@ class SpecSimulator {
       shadow_.erase(shadow_fifo_.front());
       shadow_fifo_.pop_front();
     }
-    shadow_[victim.line] = evictor;
+    const auto record = records_.find(evictor_line);
+    shadow_[victim.line] = Shadowed{
+        .evict_lookup = demand_lookups_,
+        .evictor_line = evictor_line,
+        .evictor_serial = record != records_.end()
+                              ? std::optional(record->second.serial)
+                              : std::nullopt};
+  }
+
+  /// A demand miss on a shadowed line: case 1, and with provenance the
+  /// victim's reuse distance plus blame on the displacing fill's record —
+  /// if that very fill (same serial) is still live.
+  void confirm_reuse(LineAddr line) {
+    const auto it = shadow_.find(line);
+    if (it == shadow_.end()) return;
+    const Shadowed s = it->second;
+    shadow_.erase(it);
+    ++result_.pollution.case1_reuse_displaced;
+    ++polluted_sets_[config_.l2.set_of_line(line)];
+    if (!config_.provenance) return;
+    ProvenanceSummary& f = result_.provenance;
+    ++f.reuse_confirms;
+    ++f.victim_reuse[ProvenanceSummary::bucket_of(demand_lookups_ -
+                                                  s.evict_lookup)];
+    const auto record = records_.find(s.evictor_line);
+    if (s.evictor_serial && record != records_.end() &&
+        record->second.serial == *s.evictor_serial) {
+      record->second.polluting = true;
+    } else {
+      ++f.late_pollution_confirms;
+    }
   }
 
   Cycle demand_access(Core& c, const TraceRecord& rec, Cycle start) {
@@ -336,6 +430,7 @@ class SpecSimulator {
     drain(t);
     ++c.metrics.l2_lookups;
     const bool demand = c.stream.origin == FillOrigin::kDemand;
+    if (demand) ++demand_lookups_;  // the fates' reuse clock
     // Only the main thread's touches count as used by the processor.
     Cycle done = 0;
     bool l2_miss = true;
@@ -343,6 +438,12 @@ class SpecSimulator {
       ++c.metrics.totally_hits;
       l2_miss = false;
       done = t + config_.l2_latency;
+      const auto record = records_.find(line);
+      if (demand && record != records_.end() && !record->second.used) {
+        record->second.used = true;
+        record->second.use_distance =
+            demand_lookups_ - record->second.fill_lookup;
+      }
     } else if (Miss* m = outstanding(line)) {
       ++c.metrics.partially_hits;
       ++mshr_stats_.merges;
@@ -355,11 +456,9 @@ class SpecSimulator {
       c.metrics.stall_cycles += done - t;
     } else {
       ++c.metrics.totally_misses;
-      if (demand && shadow_.erase(line) != 0) {
-        ++result_.pollution.case1_reuse_displaced;
-        ++polluted_sets_[config_.l2.set_of_line(line)];
-      }
+      if (demand) confirm_reuse(line);
       Cycle issue = t;
+      if (mshr_full()) ++mshr_stats_.full_rejections;  // this miss must wait
       while (mshr_full()) {  // structural stall until the earliest fill lands
         Cycle earliest = std::numeric_limits<Cycle>::max();
         for (const Miss& pending : misses_) {
@@ -384,7 +483,10 @@ class SpecSimulator {
                             candidates);
       for (LineAddr pf : candidates) {
         if (l2_.contains(pf) || outstanding(pf) != nullptr) continue;
-        if (mshr_full()) break;  // hardware prefetches drop, never stall
+        if (mshr_full()) {  // hardware prefetches drop, never stall
+          ++mshr_stats_.full_rejections;
+          break;
+        }
         allocate(pf, memory_.issue(t, FillOrigin::kHardware),
                  FillOrigin::kHardware);
         ++hw_issued_;
@@ -403,6 +505,7 @@ class SpecSimulator {
       ++c.metrics.prefetches_elided;
     } else if (mshr_full()) {
       ++c.metrics.prefetches_dropped;
+      ++mshr_stats_.full_rejections;
     } else {
       const FillOrigin origin = c.stream.origin == FillOrigin::kDemand
                                     ? FillOrigin::kHelper
@@ -419,8 +522,11 @@ class SpecSimulator {
   std::vector<Miss> misses_;
   MshrStats mshr_stats_;
   MemoryController memory_;
-  std::map<LineAddr, FillOrigin> shadow_;
+  std::map<LineAddr, Shadowed> shadow_;
   std::deque<LineAddr> shadow_fifo_;
+  std::map<LineAddr, FateRecord> records_;  // live prefetch fills, by line
+  std::uint64_t next_serial_ = 0;
+  std::uint64_t demand_lookups_ = 0;
   std::map<std::uint64_t, std::uint64_t> polluted_sets_;
   std::uint64_t hw_issued_ = 0;
   SimResult result_;

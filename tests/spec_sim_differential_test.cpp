@@ -7,13 +7,17 @@
 // suite draws, per seed, 1–3 streams with and without RoundSync, L2
 // associativity 1–16, MSHR depth 1–16, small and default shadow capacity,
 // hardware prefetch and occupancy sampling on and off, and equal compute
-// gaps that make scheduler ties common. Dedicated ctest entries replay the
-// binary under SPF_FORCE_SCALAR_TAGS=1 and, in -DSPF_SANITIZE=undefined
-// builds, under UBSan.
+// gaps that make scheduler ties common; half of the fuzz cases track
+// provenance, and their whole ProvenanceSummary (fates, confirms,
+// histograms) must match the spec's line-keyed fate model. Dedicated ctest
+// entries replay the binary under SPF_FORCE_SCALAR_TAGS=1 and, in
+// -DSPF_SANITIZE=undefined builds, under UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "ir_fuzz_util.hpp"
@@ -132,6 +136,56 @@ TEST(ReplayDifferentialEm3dTest, NoHwPrefetchAgrees) {
       config, {main_stream(trace), helper_stream(helper, params)});
 }
 
+// ---- hand-built fate sequences ----------------------------------------------
+
+/// A direct-mapped 4-line L2 behind a direct-mapped 2-line L1, provenance on:
+/// lines 0, 4 and 8 share L2 set 0 (one slot), lines 0, 2, 4 L1 set 0. The
+/// main stream's software prefetches fill with helper origin; a 1000-cycle
+/// gap lets each fill land before the next record.
+SimResult run_fate_sequence(
+    std::initializer_list<std::pair<std::uint64_t, AccessKind>> records) {
+  SimConfig config;
+  config.l1 = CacheGeometry(2 * 64, 1, 64);
+  config.l2 = CacheGeometry(4 * 64, 1, 64);
+  config.hw_prefetch = false;
+  config.provenance = true;
+  TraceBuffer trace;
+  for (const auto& [line, kind] : records) {
+    trace.emit(line * 64, 0, kind, 0, 0, 1000);
+  }
+  return expect_engine_matches_spec(config, {main_stream(trace)});
+}
+
+TEST(ReplayDifferentialFateTest, UsedFillWhoseVictimReMissesIsPolluting) {
+  // Prefetch 4 displaces demand line 0 and is then used; the re-miss on 0
+  // blames it while it is still resident. Polluting outranks used_timely.
+  const ProvenanceSummary p = run_fate_sequence({{0, AccessKind::kRead},
+                                                 {4, AccessKind::kPrefetch},
+                                                 {4, AccessKind::kRead},
+                                                 {0, AccessKind::kRead}})
+                                  .provenance;
+  EXPECT_EQ(p.tracked_fills, 1u);
+  EXPECT_EQ(p.polluting, 1u);
+  EXPECT_EQ(p.used_timely, 0u);
+  EXPECT_EQ(p.reuse_confirms, 1u);
+}
+
+TEST(ReplayDifferentialFateTest, ConfirmAfterTheSlotIsRecycledIsLate) {
+  // Prefetch 4 displaces line 0, then prefetch 8 displaces 4 and recycles
+  // its slot before the re-miss on 0: the blame finds a different fill.
+  const ProvenanceSummary p = run_fate_sequence({{0, AccessKind::kRead},
+                                                 {4, AccessKind::kPrefetch},
+                                                 {8, AccessKind::kPrefetch},
+                                                 {2, AccessKind::kRead},
+                                                 {0, AccessKind::kRead}})
+                                  .provenance;
+  EXPECT_EQ(p.tracked_fills, 2u);
+  EXPECT_EQ(p.polluting, 0u);
+  EXPECT_EQ(p.evicted_unused, 2u);
+  EXPECT_EQ(p.reuse_confirms, 1u);
+  EXPECT_EQ(p.late_pollution_confirms, 1u);
+}
+
 // ---- randomized matrix ----------------------------------------------------
 
 /// One fuzz case: traces, machine and stream set drawn from `seed`. Returns
@@ -182,8 +236,9 @@ SimResult run_fuzz_case(std::uint64_t seed) {
   }
   config.hw_prefetch = rng.below(2) == 0;
   if (rng.below(2) == 0) config.occupancy_sample_interval = 64 << rng.below(4);
-  // Provenance is an observer: on or off, the compared fields must not move.
-  config.provenance = rng.below(4) == 0;
+  // Provenance is an observer: on or off, the other compared fields must not
+  // move; on, the fate summary is compared against the spec's too.
+  config.provenance = rng.below(2) == 0;
 
   const SpParams params{.a_ski = static_cast<std::uint32_t>(rng.below(4)),
                         .a_pre = static_cast<std::uint32_t>(1 + rng.below(4))};
@@ -232,12 +287,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpecSimFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 65));
 
 // The matrix is only an oracle for the paths it reaches: across the seeds,
-// every classification, merge, writeback, pollution case and gate must fire.
+// every classification, merge, writeback, pollution case, MSHR-full path,
+// prefetch fate and late pollution confirm must occur.
 TEST(SpecSimFuzzCoverage, MatrixReachesEverySemanticPath) {
   std::uint64_t partially_hits = 0, demand_merges = 0, writebacks = 0,
-                case1 = 0, case2 = 0, case3 = 0, samples = 0, dropped = 0;
+                case1 = 0, case2 = 0, case3 = 0, samples = 0, dropped = 0,
+                full_rejections = 0, provenance_cases = 0;
+  ProvenanceSummary fates;
   for (std::uint64_t seed = 1; seed < 65; ++seed) {
     const SimResult r = run_fuzz_case(seed);
+    provenance_cases += r.provenance.enabled;
+    fates.add(r.provenance);
+    full_rejections += r.mshr.full_rejections;
     for (const ThreadMetrics& m : r.per_core) {
       partially_hits += m.partially_hits;
       dropped += m.prefetches_dropped;
@@ -257,6 +318,14 @@ TEST(SpecSimFuzzCoverage, MatrixReachesEverySemanticPath) {
   EXPECT_GT(case3, 0u);
   EXPECT_GT(samples, 0u);
   EXPECT_GT(dropped, 0u);
+  EXPECT_GT(full_rejections, 0u);
+  EXPECT_GT(provenance_cases, 0u);
+  EXPECT_GT(fates.used_timely, 0u);
+  EXPECT_GT(fates.used_late, 0u);
+  EXPECT_GT(fates.evicted_unused, 0u);
+  EXPECT_GT(fates.polluting, 0u);
+  EXPECT_GT(fates.resident_unused, 0u);
+  EXPECT_GT(fates.late_pollution_confirms, 0u);
 }
 
 }  // namespace
