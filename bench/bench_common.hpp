@@ -25,6 +25,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,6 +37,7 @@
 #include "spf/core/experiment.hpp"
 #include "spf/core/experiment_context.hpp"
 #include "spf/orchestrate/pool.hpp"
+#include "spf/orchestrate/workload_specs.hpp"
 #include "spf/profile/calr.hpp"
 #include "spf/telemetry/telemetry.hpp"
 #include "spf/workloads/em3d.hpp"
@@ -127,7 +129,7 @@ inline double require_double(const CliFlags& flags, const std::string& name,
 
 /// Strict accessor: bare `--name`, `--name=<bool>`, or the default.
 /// CliFlags::get_bool maps any unrecognized value to false; here a typo
-/// ("--phase-bounds=ture") is a usage error instead of a silent default.
+/// ("--provenance=ture") is a usage error instead of a silent default.
 inline bool require_bool(const CliFlags& flags, const std::string& name,
                          bool def) {
   if (!flags.has(name)) return def;
@@ -140,6 +142,17 @@ inline bool require_bool(const CliFlags& flags, const std::string& name,
     return false;
   }
   usage_error("bad --" + name + " value '" + raw + "' (want true|false)");
+}
+
+/// The non-empty items of a `sep`-separated flag value.
+inline std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  std::istringstream in(s);
+  std::string item;
+  while (std::getline(in, item, sep)) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
 }
 
 inline Scale parse_scale(const CliFlags& flags) {
@@ -230,6 +243,18 @@ inline MstConfig mst_config(const Scale& s) {
   c.degree = 64;
   c.buckets = 128;
   return c;
+}
+
+/// The sweep workload called `name` at `scale`; usage error otherwise.
+inline orchestrate::WorkloadSpec workload_spec(const std::string& name,
+                                               const Scale& scale) {
+  if (name == "em3d") return orchestrate::em3d_spec(em3d_config(scale));
+  if (name == "em3d-late") {
+    return orchestrate::em3d_spec(em3d_late_config(scale), "em3d-late");
+  }
+  if (name == "mcf") return orchestrate::mcf_spec(mcf_config(scale));
+  if (name == "mst") return orchestrate::mst_spec(mst_config(scale));
+  usage_error("unknown workload '" + name + "' (em3d|em3d-late|mcf|mst)");
 }
 
 struct SweepPoint {

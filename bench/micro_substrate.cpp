@@ -7,7 +7,7 @@
 #include "spf/common/rng.hpp"
 #include "spf/core/helper_gen.hpp"
 #include "spf/mshr/mshr.hpp"
-#include "spf/prefetch/chain.hpp"
+#include "spf/prefetch/core_prefetchers.hpp"
 #include "spf/profile/set_affinity.hpp"
 #include "spf/sim/simulator.hpp"
 
@@ -56,20 +56,20 @@ void BM_MshrAllocateDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_MshrAllocateDrain);
 
-void BM_PrefetcherChainObserve(benchmark::State& state) {
-  PrefetcherChain chain = PrefetcherChain::core2_default();
+void BM_CorePrefetchersObserve(benchmark::State& state) {
+  CorePrefetchers prefetchers(64);
   std::vector<LineAddr> out;
   Addr addr = 0;
   for (auto _ : state) {
     out.clear();
-    chain.observe(
+    prefetchers.observe(
         PrefetchObservation{.addr = addr, .site = 1, .was_miss = true}, out);
     benchmark::DoNotOptimize(out.data());
     addr += 64;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PrefetcherChainObserve);
+BENCHMARK(BM_CorePrefetchersObserve);
 
 void BM_SetAffinityObserve(benchmark::State& state) {
   SetAffinityAnalyzer analyzer(CacheGeometry(1 << 20, 16, 64),

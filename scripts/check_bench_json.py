@@ -5,8 +5,10 @@ Usage: check_bench_json.py BENCH_perf.json [BENCH_perf.json ...]
        check_bench_json.py --sweep sweep.jsonl [sweep.jsonl ...]
        check_bench_json.py --provenance prov.jsonl [prov.jsonl ...]
 
-With --sweep, each file is a JSONL artifact from spf_sweep / fig_adaptive /
-fig_phase_bound (one cell per line) and the per-line contracts are:
+With --sweep, each file is a JSONL artifact from spf_sweep (one cell per
+line; e.g. the adaptive grid `--controllers=static,aimd,capped` or the
+phase-bound grid `--controllers=capped,phase-capped`) and the per-line
+contracts are:
   * `phase_count` is an integer >= 1 on every successful cell — the phase
     partition always contains at least the whole run (docs/method.md);
   * adaptive cells record one trajectory entry per interval
@@ -24,8 +26,8 @@ fig_phase_bound (one cell per line) and the per-line contracts are:
     under the earlier event's cap;
   * failed cells carry an `error` and are otherwise exempt.
 
-With --provenance, each file is a JSONL artifact from fig_provenance (or any
-sweep run with SweepSpec::provenance set) and, on top of the --sweep
+With --provenance, each file is a JSONL artifact from `spf_sweep
+--provenance` (or any sweep run with SweepSpec::provenance set) and, on top of the --sweep
 contracts, every successful cell must satisfy the lifecycle accounting
 (docs/provenance.md):
   * the five fate counters partition the tracked fills exactly:

@@ -6,11 +6,27 @@
 #
 # Sweep-shaped harnesses fan their cells out over the spf::orchestrate
 # engine; SPF_THREADS caps the worker count (default: all cores, which still
-# emits bit-identical artifacts — see docs/orchestrator.md).
+# emits bit-identical artifacts — see docs/orchestrator.md). Every sweep grid
+# (the full cross-product, the adaptive, phase-bound and provenance figures)
+# is one spf_sweep command line below, and each runs once.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 THREADS="${SPF_THREADS:-$(nproc)}"
+
+# The figure grids, shared by the CI-scale runs and the --paper reruns.
+ADAPTIVE_GRID=(--workloads=em3d,mcf,mst --controllers=static,aimd,capped)
+PHASE_BOUND_GRID=(--workloads=em3d,em3d-late,mcf,mst
+                  --controllers=capped,phase-capped)
+PROVENANCE_GRID=(--workloads=em3d,mcf,mst --provenance)
+
+# Prints a banner naming the command line, then runs it.
+run_banner() {
+  echo "=============================================================="
+  echo "== $*"
+  echo "=============================================================="
+  "$@"
+}
 
 cmake -B build -S .
 cmake --build build --parallel "$THREADS"
@@ -20,7 +36,9 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 {
   for b in build/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
-    case "$b" in *.cmake) continue ;; esac
+    # spf_sweep's argument-free em3d ladder is a subset of the full-grid run
+    # below.
+    case "$b" in *.cmake|*/spf_sweep) continue ;; esac
     # micro_substrate is a google-benchmark binary: it rejects unknown flags,
     # so it runs argument-free; everything else takes the bench_common knobs.
     # perf_smoke additionally writes the hot-path throughput record
@@ -30,11 +48,8 @@ ctest --test-dir build 2>&1 | tee test_output.txt
       *micro_substrate) args="" ;;
       *perf_smoke) args="--threads=$THREADS --out=BENCH_perf.json" ;;
     esac
-    echo "=============================================================="
-    echo "== $b${args:+ $args}"
-    echo "=============================================================="
     # shellcheck disable=SC2086  # args is one word or empty, splitting intended
-    "$b" $args
+    run_banner "$b" $args
     echo
   done
 } 2>&1 | tee bench_output.txt
@@ -82,15 +97,10 @@ fi
 # alongside the table — plus the telemetry artifacts: a deterministic metrics
 # dump and a Perfetto-loadable per-worker timeline of the whole sweep (open
 # sweep_trace.json in https://ui.perfetto.dev; see docs/telemetry.md).
-{
-  echo "=============================================================="
-  echo "== build/bench/spf_sweep --workloads=em3d,mcf,mst --rps=0.5,1.0" \
-       "--threads=$THREADS"
-  echo "=============================================================="
-  build/bench/spf_sweep --workloads=em3d,mcf,mst --rps=0.5,1.0 \
-    --threads="$THREADS" --jsonl=sweep_results.jsonl \
-    --metrics-out=sweep_metrics.jsonl --trace-out=sweep_trace.json
-} 2>&1 | tee -a bench_output.txt
+run_banner build/bench/spf_sweep --workloads=em3d,mcf,mst --rps=0.5,1.0 \
+  --threads="$THREADS" --jsonl=sweep_results.jsonl \
+  --metrics-out=sweep_metrics.jsonl --trace-out=sweep_trace.json \
+  2>&1 | tee -a bench_output.txt
 
 # Sanity-check the emitted timeline when python3 is around (same validator
 # ctest runs against the perf_smoke artifact), and hold the sweep JSONL to
@@ -103,72 +113,55 @@ if [ -f sweep_results.jsonl ] && command -v python3 >/dev/null 2>&1; then
   python3 scripts/check_bench_json.py --sweep sweep_results.jsonl
 fi
 
-# Adaptive-vs-static controller ablation: every workload × the distance
-# ladder × {static, adaptive-AIMD, adaptive-capped}, JSONL artifact with the
-# per-cell distance trajectories, plus a timeline carrying the per-interval
-# adaptive.distance counter track.
-{
-  echo "=============================================================="
-  echo "== build/bench/fig_adaptive --threads=$THREADS"
-  echo "=============================================================="
-  build/bench/fig_adaptive --threads="$THREADS" --jsonl=fig_adaptive.jsonl \
-    --metrics-out=fig_adaptive_metrics.jsonl --trace-out=fig_adaptive_trace.json
-} 2>&1 | tee -a bench_output.txt
+# Runs one figure grid (flags after the first two arguments) with its JSONL,
+# metrics and timeline artifacts named after the figure, then validates the
+# timeline and holds the JSONL to the contracts of the given
+# check_bench_json.py mode.
+run_figure() {
+  local name=$1 mode=$2
+  shift 2
+  run_banner build/bench/spf_sweep "$@" --threads="$THREADS" \
+    --jsonl="$name.jsonl" --metrics-out="${name}_metrics.jsonl" \
+    --trace-out="${name}_trace.json" 2>&1 | tee -a bench_output.txt
+  if command -v python3 >/dev/null 2>&1; then
+    python3 scripts/check_trace_json.py "${name}_trace.json"
+    python3 scripts/check_bench_json.py "$mode" "$name.jsonl"
+  fi
+}
 
-if [ -f fig_adaptive_trace.json ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace_json.py fig_adaptive_trace.json
-fi
+# Adaptive-vs-static controller ablation: every workload × the distance
+# ladder × {static, adaptive-AIMD, adaptive-capped}, JSONL carrying the
+# per-cell distance trajectories, plus a timeline with the per-interval
+# adaptive.distance counter track.
+run_figure fig_adaptive --sweep "${ADAPTIVE_GRID[@]}"
 
 # Whole-run vs per-phase capping ablation: adaptive-capped against
-# adaptive-phase-capped on every workload, JSONL carrying the per-cell phase
-# bound schedules and re-clamp events, validated against the same per-cell
-# contracts as the sweep artifact.
-{
-  echo "=============================================================="
-  echo "== build/bench/fig_phase_bound --threads=$THREADS"
-  echo "=============================================================="
-  build/bench/fig_phase_bound --threads="$THREADS" \
-    --jsonl=fig_phase_bound.jsonl --metrics-out=fig_phase_bound_metrics.jsonl \
-    --trace-out=fig_phase_bound_trace.json
-} 2>&1 | tee -a bench_output.txt
-
-if [ -f fig_phase_bound_trace.json ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace_json.py fig_phase_bound_trace.json
-fi
-if [ -f fig_phase_bound.jsonl ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_bench_json.py --sweep fig_phase_bound.jsonl
-fi
+# adaptive-phase-capped on every workload plus the late-tight-phase em3d
+# fixture, JSONL carrying the per-cell phase bound schedules and re-clamp
+# events.
+run_figure fig_phase_bound --sweep "${PHASE_BOUND_GRID[@]}"
 
 # Prefetch-lifecycle provenance: the fate-mix and timeliness figure (what
 # happened to every helper/hardware prefetch fill across the distance
 # ladder), JSONL carrying the per-cell fate counts, fill→first-use and
 # victim reuse-distance histograms, and per-set pollution heatmaps, held to
 # the lifecycle accounting contracts (docs/provenance.md).
-{
-  echo "=============================================================="
-  echo "== build/bench/fig_provenance --threads=$THREADS"
-  echo "=============================================================="
-  build/bench/fig_provenance --threads="$THREADS" \
-    --jsonl=fig_provenance.jsonl --metrics-out=fig_provenance_metrics.jsonl \
-    --trace-out=fig_provenance_trace.json
-} 2>&1 | tee -a bench_output.txt
-
-if [ -f fig_provenance_trace.json ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace_json.py fig_provenance_trace.json
-fi
-if [ -f fig_provenance.jsonl ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_bench_json.py --provenance fig_provenance.jsonl
-fi
+run_figure fig_provenance --provenance "${PROVENANCE_GRID[@]}"
 
 if [[ "${1:-}" == "--paper" ]]; then
   {
-    for b in table2_benchmarks fig2_em3d_sweep fig4_em3d_behavior fig_adaptive \
-             fig_phase_bound fig_provenance; do
-      echo "=============================================================="
-      echo "== build/bench/$b --scale=paper --threads=$THREADS"
-      echo "=============================================================="
-      "build/bench/$b" --scale=paper --threads="$THREADS"
+    for b in table2_benchmarks fig2_em3d_sweep fig4_em3d_behavior; do
+      run_banner "build/bench/$b" --scale=paper --threads="$THREADS"
       echo
     done
+    run_banner build/bench/spf_sweep "${ADAPTIVE_GRID[@]}" --scale=paper \
+      --threads="$THREADS"
+    echo
+    run_banner build/bench/spf_sweep "${PHASE_BOUND_GRID[@]}" --scale=paper \
+      --threads="$THREADS"
+    echo
+    run_banner build/bench/spf_sweep "${PROVENANCE_GRID[@]}" --scale=paper \
+      --threads="$THREADS"
+    echo
   } 2>&1 | tee bench_output_paper.txt
 fi

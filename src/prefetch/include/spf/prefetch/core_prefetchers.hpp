@@ -1,11 +1,10 @@
-// Devirtualized per-core prefetcher pair for the simulator hot path.
+// The per-core hardware prefetcher pair of the paper's Core 2 testbed: one
+// DPL stride engine and one streamer watching the same access stream.
 //
-// Semantically identical to PrefetcherChain::core2_default (DPL stride first,
-// then the streamer, candidates of one observation sorted and deduplicated),
-// but the two engines are direct members: no unique_ptr indirection and no
-// virtual dispatch per access, so `observe` inlines into the simulator's
-// access loop. PrefetcherChain stays as the generic composition surface for
-// ablations and tests; this type is the fixed Core 2 arrangement only.
+// Each observation is fanned out to the stride engine first, then the
+// streamer, and the candidates of that one observation are sorted and
+// deduplicated. The two engines are direct members, so `observe` inlines
+// into the simulator's access loop.
 #pragma once
 
 #include <algorithm>
@@ -23,8 +22,7 @@ class CorePrefetchers {
       : stride_(stride_config(line_bytes)), stream_(stream_config(line_bytes)) {}
 
   /// Observe one access and append this observation's deduplicated candidate
-  /// lines to `out` (stride engine's candidates ordered before the streamer's
-  /// when both fire, exactly like PrefetcherChain).
+  /// lines to `out`, sorted by line address.
   void observe(const PrefetchObservation& obs, std::vector<LineAddr>& out) {
     const std::size_t first = out.size();
     stride_.observe(obs, out);

@@ -1,4 +1,4 @@
-// Hardware prefetcher interface.
+// What a hardware prefetcher observes.
 //
 // The paper's testbed (Core 2) has two kinds of hardware prefetchers per die:
 // the DPL (Data Prefetch Logic, an IP/stride prefetcher) and the streamer
@@ -7,14 +7,13 @@
 // prefetchers" — so the simulator needs hw prefetchers that actually fill
 // lines tagged FillOrigin::kHardware.
 //
-// Prefetchers observe the demand access stream and emit candidate lines; the
-// simulator filters candidates against cache contents and MSHRs and issues
-// the survivors.
+// Prefetchers (stride.hpp, stream.hpp, paired per core in
+// core_prefetchers.hpp) observe the demand access stream and emit candidate
+// lines; the simulator filters candidates against cache contents and MSHRs
+// and issues the survivors.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "spf/mem/types.hpp"
 
@@ -31,19 +30,6 @@ struct PrefetchObservation {
   SiteId site = 0;
   /// Whether the access missed in the cache level this prefetcher watches.
   bool was_miss = false;
-};
-
-class HwPrefetcher {
- public:
-  virtual ~HwPrefetcher() = default;
-
-  /// Observe one access and append any prefetch candidate lines to `out`.
-  /// Candidates may duplicate cached lines; the caller deduplicates.
-  virtual void observe(const PrefetchObservation& obs,
-                       std::vector<LineAddr>& out) = 0;
-
-  virtual void reset() = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
 };
 
 }  // namespace spf

@@ -40,13 +40,12 @@ struct StreamConfig {
   std::uint32_t page_bytes = 4096;
 };
 
-class StreamPrefetcher final : public HwPrefetcher {
+class StreamPrefetcher {
  public:
   explicit StreamPrefetcher(const StreamConfig& config);
 
-  void observe(const PrefetchObservation& obs, std::vector<LineAddr>& out) override;
-  void reset() override;
-  [[nodiscard]] std::string name() const override { return "streamer"; }
+  void observe(const PrefetchObservation& obs, std::vector<LineAddr>& out);
+  void reset();
 
   [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }
 
@@ -105,7 +104,7 @@ class StreamPrefetcher final : public HwPrefetcher {
 };
 
 // Defined here (not stream.cpp) so per-access callers inline the tracker
-// scan instead of paying an out-of-line virtual-sized call.
+// scan instead of paying an out-of-line call.
 inline void StreamPrefetcher::observe(const PrefetchObservation& obs,
                                       std::vector<LineAddr>& out) {
   const LineAddr line = obs.addr >> line_shift_;

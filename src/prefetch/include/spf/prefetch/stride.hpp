@@ -22,13 +22,12 @@ struct StrideConfig {
   std::uint32_t line_bytes = 64;
 };
 
-class StridePrefetcher final : public HwPrefetcher {
+class StridePrefetcher {
  public:
   explicit StridePrefetcher(const StrideConfig& config);
 
-  void observe(const PrefetchObservation& obs, std::vector<LineAddr>& out) override;
-  void reset() override;
-  [[nodiscard]] std::string name() const override { return "dpl-stride"; }
+  void observe(const PrefetchObservation& obs, std::vector<LineAddr>& out);
+  void reset();
 
   [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }
 
@@ -48,7 +47,7 @@ class StridePrefetcher final : public HwPrefetcher {
 };
 
 // Defined here (not stride.cpp) so per-access callers inline the table
-// update instead of paying an out-of-line virtual-sized call.
+// update instead of paying an out-of-line call.
 inline void StridePrefetcher::observe(const PrefetchObservation& obs,
                                       std::vector<LineAddr>& out) {
   Entry& e = table_[obs.site & (config_.table_entries - 1)];

@@ -145,6 +145,18 @@ class LruCache {
   std::map<std::uint64_t, std::list<Line>> sets_;
 };
 
+/// Test-only tallies of two fate corners, kept outside SimResult so the
+/// engine has nothing to compare them with: the fuzz coverage test uses them
+/// to prove its matrix reaches the corners on its own.
+struct FateCorners {
+  /// A fill already used by the main thread, then confirmed polluting (the
+  /// polluting-over-used precedence decides its fate).
+  std::uint64_t used_then_polluting = 0;
+  /// A confirm whose displacing fill had already left the cache, so its
+  /// slot may hold a different fill (the generation check decides).
+  std::uint64_t recycled_confirms = 0;
+};
+
 class SpecSimulator {
  public:
   explicit SpecSimulator(const SimConfig& config)
@@ -232,6 +244,8 @@ class SpecSimulator {
     }
     return result_;
   }
+
+  [[nodiscard]] const FateCorners& corners() const { return corners_; }
 
  private:
   struct Core {
@@ -412,8 +426,12 @@ class SpecSimulator {
     const auto record = records_.find(s.evictor_line);
     if (s.evictor_serial && record != records_.end() &&
         record->second.serial == *s.evictor_serial) {
+      if (record->second.used && !record->second.polluting) {
+        ++corners_.used_then_polluting;
+      }
       record->second.polluting = true;
     } else {
+      if (s.evictor_serial) ++corners_.recycled_confirms;
       ++f.late_pollution_confirms;
     }
   }
@@ -530,6 +548,7 @@ class SpecSimulator {
   std::map<std::uint64_t, std::uint64_t> polluted_sets_;
   std::uint64_t hw_issued_ = 0;
   SimResult result_;
+  FateCorners corners_;
 };
 
 }  // namespace spf::spec

@@ -7,16 +7,20 @@
 // suite draws, per seed, 1–3 streams with and without RoundSync, L2
 // associativity 1–16, MSHR depth 1–16, small and default shadow capacity,
 // hardware prefetch and occupancy sampling on and off, and equal compute
-// gaps that make scheduler ties common; half of the fuzz cases track
-// provenance, and their whole ProvenanceSummary (fates, confirms,
-// histograms) must match the spec's line-keyed fate model. Dedicated ctest
-// entries replay the binary under SPF_FORCE_SCALAR_TAGS=1 and, in
-// -DSPF_SANITIZE=undefined builds, under UBSan.
+// gaps that make scheduler ties common. About half of the seeds are
+// directed at the fate corners: a main-stream revisit pass re-touches lines
+// the helper displaced, on a tiny L2 whose slots recycle. Those seeds and
+// half of the rest track provenance, and their whole ProvenanceSummary
+// (fates, confirms, histograms) must match the spec's line-keyed fate
+// model. Dedicated ctest entries replay the binary under
+// SPF_FORCE_SCALAR_TAGS=1 and, in -DSPF_SANITIZE=undefined builds, under
+// UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -34,11 +38,15 @@ namespace spf {
 namespace {
 
 /// Runs `streams` through the engine and the spec, requires identical
-/// results, and returns the engine's.
+/// results, and returns the engine's; `corners`, when given, receives the
+/// spec's fate-corner tallies.
 SimResult expect_engine_matches_spec(const SimConfig& config,
-                                     const std::vector<CoreStream>& streams) {
+                                     const std::vector<CoreStream>& streams,
+                                     spec::FateCorners* corners = nullptr) {
   const SimResult actual = CmpSimulator(config).run(streams);
-  test::expect_same_result(actual, spec::SpecSimulator(config).run(streams));
+  spec::SpecSimulator spec_sim(config);
+  test::expect_same_result(actual, spec_sim.run(streams));
+  if (corners != nullptr) *corners = spec_sim.corners();
   return actual;
 }
 
@@ -188,11 +196,53 @@ TEST(ReplayDifferentialFateTest, ConfirmAfterTheSlotIsRecycledIsLate) {
 
 // ---- randomized matrix ----------------------------------------------------
 
+/// `trace` with a revisit pass at the end of each outer iteration i: the
+/// records of iteration i - lag again, as stores (which the helper never
+/// pre-executes), re-tagged to iteration i, with lag drawn per iteration
+/// from [1, max_lag]. By then the helper has run ahead, so a line one of
+/// its fills displaced is re-missed while that fill is often resident and
+/// already used — or, in a tiny L2, after the fill's slot was recycled.
+TraceBuffer with_revisits(const TraceBuffer& trace, Xoshiro256& rng,
+                          std::uint32_t max_lag) {
+  std::map<std::uint32_t, std::vector<TraceRecord>> by_iter;
+  for (const TraceRecord& r : trace) by_iter[r.outer_iter].push_back(r);
+  TraceBuffer out;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    out.mutable_records().push_back(trace[i]);
+    const std::uint32_t iter = trace[i].outer_iter;
+    if (i + 1 < trace.size() && trace[i + 1].outer_iter == iter) continue;
+    const auto lag = static_cast<std::uint32_t>(1 + rng.below(max_lag));
+    if (iter < lag) continue;
+    const auto earlier = by_iter.find(iter - lag);
+    if (earlier == by_iter.end()) continue;
+    for (const TraceRecord& r : earlier->second) {
+      out.mutable_records().push_back(TraceRecord::make(
+          r.addr, iter, AccessKind::kWrite, r.site, r.flags(), r.compute_gap));
+    }
+  }
+  return out;
+}
+
+struct FuzzOutcome {
+  SimResult result;
+  spec::FateCorners corners;
+};
+
 /// One fuzz case: traces, machine and stream set drawn from `seed`. Returns
-/// the engine's result (empty when the program emitted no records).
-SimResult run_fuzz_case(std::uint64_t seed) {
+/// the engine's result (empty when the program emitted no records) and the
+/// spec's fate-corner tallies.
+FuzzOutcome run_fuzz_case(std::uint64_t seed) {
   SCOPED_TRACE("fuzz seed " + std::to_string(seed));
   Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ull + 1);
+  // Half the cases are directed: revisits (with_revisits) on a tiny L2
+  // (1–4 sets of 1–4 ways) with a helper and provenance on. They draw from
+  // their own stream, so the other cases keep the traces and machines they
+  // always had.
+  Xoshiro256 directed_rng(seed * 0xBF58476D1CE4E5B9ull + 3);
+  const bool directed = directed_rng.below(2) == 0;
+  const std::uint32_t tiny_ways = 1u << directed_rng.below(3);
+  const std::uint64_t tiny_lines = tiny_ways << directed_rng.below(3);
+  const CacheGeometry tiny_l2(tiny_lines * 64, tiny_ways, 64);
   ir::VirtualMemory vm;
   const TraceBuffer program_trace =
       ir::interpret(ir::random_program(seed, vm), vm).trace;
@@ -213,6 +263,12 @@ SimResult run_fuzz_case(std::uint64_t seed) {
       r.outer_iter += static_cast<std::uint32_t>(k) * trip;
       trace.mutable_records().push_back(r);
     }
+  }
+  if (directed) {
+    // Lags up to twice the L2's lines: a displaced victim's re-miss lands
+    // both before and after its displacing fill leaves.
+    trace = with_revisits(trace, directed_rng,
+                          2 * static_cast<std::uint32_t>(tiny_lines));
   }
   // Equal compute gaps make next-access ties between cores common, which is
   // where the lower-id tie-break and the batch limits must agree.
@@ -239,6 +295,10 @@ SimResult run_fuzz_case(std::uint64_t seed) {
   // Provenance is an observer: on or off, the other compared fields must not
   // move; on, the fate summary is compared against the spec's too.
   config.provenance = rng.below(2) == 0;
+  if (directed) {
+    config.provenance = true;
+    config.l2 = tiny_l2;
+  }
 
   const SpParams params{.a_ski = static_cast<std::uint32_t>(rng.below(4)),
                         .a_pre = static_cast<std::uint32_t>(1 + rng.below(4))};
@@ -255,7 +315,8 @@ SimResult run_fuzz_case(std::uint64_t seed) {
                    RoundSync{.leader = 0, .round_iters = params.round()})
              : std::nullopt;
 
-  const std::uint64_t n_streams = 1 + rng.below(3);
+  const std::uint64_t n_streams =
+      std::max<std::uint64_t>(1 + rng.below(3), directed ? 2 : 1);
   const TraceBuffer helper = helper_of(rng.below(2) == 0);
   TraceBuffer third;
   std::vector<CoreStream> streams = {main_stream(trace)};
@@ -276,7 +337,10 @@ SimResult run_fuzz_case(std::uint64_t seed) {
                          .sync = sync});
     }
   }
-  return expect_engine_matches_spec(config, streams);
+  FuzzOutcome outcome;
+  outcome.result =
+      expect_engine_matches_spec(config, streams, &outcome.corners);
+  return outcome;
 }
 
 class SpecSimFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -288,14 +352,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpecSimFuzzTest,
 
 // The matrix is only an oracle for the paths it reaches: across the seeds,
 // every classification, merge, writeback, pollution case, MSHR-full path,
-// prefetch fate and late pollution confirm must occur.
+// prefetch fate and late pollution confirm must occur. The two fate corners
+// whose precedence and generation rules the fate summary depends on — a used
+// fill confirmed polluting, a confirm after the displacing fill left — must
+// each occur in at least 8 of the 64 seeds, so a swapped precedence or a
+// dropped generation check fails many seeds rather than one.
 TEST(SpecSimFuzzCoverage, MatrixReachesEverySemanticPath) {
   std::uint64_t partially_hits = 0, demand_merges = 0, writebacks = 0,
                 case1 = 0, case2 = 0, case3 = 0, samples = 0, dropped = 0,
-                full_rejections = 0, provenance_cases = 0;
+                full_rejections = 0, provenance_cases = 0,
+                used_then_polluting_seeds = 0, recycled_confirm_seeds = 0;
   ProvenanceSummary fates;
   for (std::uint64_t seed = 1; seed < 65; ++seed) {
-    const SimResult r = run_fuzz_case(seed);
+    const FuzzOutcome outcome = run_fuzz_case(seed);
+    const SimResult& r = outcome.result;
+    used_then_polluting_seeds += outcome.corners.used_then_polluting > 0;
+    recycled_confirm_seeds += outcome.corners.recycled_confirms > 0;
     provenance_cases += r.provenance.enabled;
     fates.add(r.provenance);
     full_rejections += r.mshr.full_rejections;
@@ -326,6 +398,8 @@ TEST(SpecSimFuzzCoverage, MatrixReachesEverySemanticPath) {
   EXPECT_GT(fates.polluting, 0u);
   EXPECT_GT(fates.resident_unused, 0u);
   EXPECT_GT(fates.late_pollution_confirms, 0u);
+  EXPECT_GE(used_then_polluting_seeds, 8u);
+  EXPECT_GE(recycled_confirm_seeds, 8u);
 }
 
 }  // namespace
