@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
       bench::require_uint(flags, "interval", 1000));
   spec.adaptive.max_distance = static_cast<std::uint32_t>(
       bench::require_uint(flags, "max-distance", 1024));
-  spec.adaptive.warm_intervals = flags.get_bool("warm", false);
+  spec.adaptive.warm_intervals = bench::require_bool(flags, "warm", false);
   spec.phase.window_iters = static_cast<std::uint32_t>(
       bench::require_uint(flags, "phase-window", spec.phase.window_iters));
   spec.phase.hysteresis =

@@ -53,14 +53,6 @@ double CliFlags::get_double(const std::string& name, double def) const {
   return std::strtod(it->second.c_str(), nullptr);
 }
 
-bool CliFlags::get_bool(const std::string& name, bool def) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  consumed_[name] = true;
-  return it->second == "true" || it->second == "1" || it->second == "yes" ||
-         it->second == "on";
-}
-
 std::vector<std::string> CliFlags::unconsumed() const {
   std::vector<std::string> out;
   for (const auto& [name, used] : consumed_) {

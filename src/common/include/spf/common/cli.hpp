@@ -1,6 +1,8 @@
 // Minimal --key=value flag parser for the bench/example binaries. Every
-// binary in bench/ must run with no arguments (CI sweeps `for b in bench/*`),
-// so all flags carry defaults; unknown flags are an error to catch typos.
+// bench binary must run with no arguments (scripts/repro_all.sh runs each
+// declared bench target), so all flags carry defaults; unknown flags are an
+// error to catch typos. Boolean flags parse through bench::require_bool,
+// which rejects a misspelled value instead of reading it as false.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,6 @@ class CliFlags {
   [[nodiscard]] std::string get(const std::string& name, const std::string& def) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;
-  [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

@@ -91,9 +91,14 @@ struct WorkloadSpec {
 /// holds one shared immutable copy handed out by every make() call).
 [[nodiscard]] WorkloadSpec from_source(std::string name, TraceSource source);
 
+/// The paper-figure distance ladder around a Set-Affinity bound: 1/8, 1/4,
+/// 1/2, 3/4, 1, 3/2, 2, 4 and 8 times `bound`, truncated, zeros and repeats
+/// dropped; {1} when every rung truncates to 0. Auto-distance sweeps run it.
+[[nodiscard]] std::vector<std::uint32_t> distance_ladder(std::uint32_t bound);
+
 struct SweepSpec {
   std::vector<WorkloadSpec> workloads;
-  /// Explicit A_SKI values. Empty -> auto: spf::bench-style ladder around the
+  /// Explicit A_SKI values. Empty -> auto: distance_ladder() around the
   /// Set-Affinity bound of each workload × geometry plane.
   std::vector<std::uint32_t> distances;
   std::vector<double> rps = {0.5};

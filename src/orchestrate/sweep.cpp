@@ -15,18 +15,6 @@
 namespace spf::orchestrate {
 namespace {
 
-/// Distance ladder spanning both sides of the pollution bound (the benches'
-/// paper-figure ladder): fractions/multiples of the upper limit, deduplicated.
-std::vector<std::uint32_t> auto_distances(std::uint32_t bound) {
-  std::vector<std::uint32_t> d;
-  for (const double f : {0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0}) {
-    const auto v = static_cast<std::uint32_t>(f * bound);
-    if (v >= 1 && (d.empty() || v != d.back())) d.push_back(v);
-  }
-  if (d.empty()) d.push_back(1);
-  return d;
-}
-
 /// Baseline + distance bound shared by every cell of one workload × geometry
 /// plane. The bound analysis is the phased one: bound.whole is bit-identical
 /// to the legacy estimate_distance_bound, and the phase partition feeds
@@ -117,6 +105,16 @@ WorkloadSpec from_source(std::string name, TraceSource source) {
   return spec;
 }
 
+std::vector<std::uint32_t> distance_ladder(std::uint32_t bound) {
+  std::vector<std::uint32_t> d;
+  for (const double f : {0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0}) {
+    const auto v = static_cast<std::uint32_t>(f * bound);
+    if (v >= 1 && (d.empty() || v != d.back())) d.push_back(v);
+  }
+  if (d.empty()) d.push_back(1);
+  return d;
+}
+
 SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
   if (const std::string problem = spec.validate(); !problem.empty()) {
     throw std::invalid_argument("invalid sweep spec: " + problem);
@@ -194,7 +192,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
       std::vector<std::uint32_t> distances = spec.distances;
       if (distances.empty()) {
         distances =
-            plane_ok ? auto_distances(planes[p].bound.whole.upper_limit)
+            plane_ok ? distance_ladder(planes[p].bound.whole.upper_limit)
                      : std::vector<std::uint32_t>{0};
       }
       for (const HelperKind helper : spec.helpers) {

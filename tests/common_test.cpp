@@ -185,7 +185,8 @@ TEST(CliFlagsTest, ParsesKeyValueAndBooleans) {
                         "positional", "--name=abc"};
   CliFlags flags(6, argv);
   EXPECT_EQ(flags.get_int("n", 0), 5);
-  EXPECT_TRUE(flags.get_bool("verbose", false));
+  EXPECT_TRUE(flags.has("verbose"));
+  EXPECT_EQ(flags.get("verbose", "default"), "true");
   EXPECT_DOUBLE_EQ(flags.get_double("rate", 0.0), 2.5);
   EXPECT_EQ(flags.get("name", ""), "abc");
   ASSERT_EQ(flags.positional().size(), 1u);
@@ -196,7 +197,7 @@ TEST(CliFlagsTest, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
   CliFlags flags(1, argv);
   EXPECT_EQ(flags.get_int("missing", 7), 7);
-  EXPECT_FALSE(flags.get_bool("missing", false));
+  EXPECT_FALSE(flags.has("missing"));
   EXPECT_EQ(flags.get("missing", "d"), "d");
 }
 

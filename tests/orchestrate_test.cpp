@@ -271,6 +271,15 @@ TEST(Sweep, AutoDistancesLadderAroundTheBound) {
   EXPECT_GE(r.cells.back().cell.distance, bound);
 }
 
+TEST(Sweep, DistanceLadderPinsThePaperFigureRungs) {
+  EXPECT_EQ(distance_ladder(68),
+            (std::vector<std::uint32_t>{8, 17, 34, 51, 68, 102, 136, 272, 544}));
+  // Sub-unit rungs truncate to 0 and drop; 1 * 1 and 1.5 * 1 collapse.
+  EXPECT_EQ(distance_ladder(1), (std::vector<std::uint32_t>{1, 2, 4, 8}));
+  // Every rung of a zero bound truncates away; the ladder still runs one cell.
+  EXPECT_EQ(distance_ladder(0), (std::vector<std::uint32_t>{1}));
+}
+
 TEST(Sweep, FromSourceReusesTheGivenTrace) {
   const Em3dWorkload workload(tiny_em3d());
   TraceSource source{workload.emit_trace(), workload.invocation_starts()};
